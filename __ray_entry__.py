@@ -2876,7 +2876,8 @@ def q_media_frames(sf_dir: str):
 
 
 def q_search_pruned_topk(sf_dir: str):
-    """Block-max MaxScore pruned top-10 — identical to exhaustive top-k."""
+    """Engine ``topk`` top-10: the first 10 of the float64 TF-IDF ranking
+    that ``search_scores`` serves (the entry keeps its registry name)."""
     eng = _engine(sf_dir, float32_scores=False)
     d, s = eng.topk(SEARCH_QUERY, k=10)
     return pd.DataFrame({"doc_id": d.astype(np.int64), "score": np.round(s, 6)})

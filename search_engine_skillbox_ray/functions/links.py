@@ -258,7 +258,7 @@ def anchor_search_ds(pages, sites: list[dict], query: str):
         )
 
     df_map: dict[str, int] = {t: 0 for t in terms}
-    for ref in agg.map_batches(df_partial, batch_format="pyarrow").to_arrow_refs():
+    for ref in agg.map_batches(df_partial, batch_format="pyarrow").materialize().to_arrow_refs():
         t = ray.get(ref)
         for name, c in zip(t.column("term").to_pylist(), t.column("df").to_pylist()):
             df_map[name] += c

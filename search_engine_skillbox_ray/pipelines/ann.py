@@ -70,7 +70,7 @@ class BruteForceTopK:
 def _final_topk(partials: rd.Dataset, k: int) -> "pa.Table":
     """Reduce the per-batch partial top-k union (q×k×n_blocks rows —
     small) to the global per-query top-k with deterministic ties."""
-    tbl = partials.to_arrow_refs()
+    tbl = partials.materialize().to_arrow_refs()
     tables = [ray.get(r) for r in tbl]
     big = pa.concat_tables([t for t in tables if len(t)]) if tables else None
     if big is None or len(big) == 0:
@@ -155,7 +155,7 @@ def deterministic_train_vectors(
     best_ids = np.empty(0, np.int64)
     best_vecs: np.ndarray | None = None
     slim = embeddings.map_batches(bottomk, batch_format="pyarrow")
-    for ref in slim.to_arrow_refs():
+    for ref in slim.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t):
             continue
@@ -653,7 +653,7 @@ def pq_topk(
     partials = embeddings.select_columns([id_col, vec_col]).map_batches(
         stage, batch_format="pyarrow", batch_size=4096
     )
-    tables = [ray.get(r) for r in partials.to_arrow_refs()]
+    tables = [ray.get(r) for r in partials.materialize().to_arrow_refs()]
     big = pa.concat_tables([t for t in tables if len(t)])
     if not len(big):
         return pa.table(
@@ -901,7 +901,7 @@ def kmeans_inertia(
         .sum(["n_vecs", "inertia"])
     )
     rows: dict[int, tuple[int, float]] = {}
-    for ref in agg.to_arrow_refs():
+    for ref in agg.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t) or "lst" not in t.column_names:
             continue

@@ -45,7 +45,7 @@ def _survivor_filter(docs: rd.Dataset, ids: rd.Dataset, n_docs_hint: int) -> rd.
     if n_docs_hint <= DRIVER_FASTPATH_ROWS:
         parts = [
             t.column("doc_id").to_numpy(zero_copy_only=False)
-            for t in ray.get(ids.to_arrow_refs())
+            for t in ray.get(ids.materialize().to_arrow_refs())
             if len(t) and "doc_id" in t.column_names
         ]
         keep = np.sort(np.concatenate(parts).astype(np.int64)) if parts else np.empty(0, np.int64)
@@ -106,7 +106,7 @@ def curation_pipeline_ds(
     )
     drop_parts = [
         t.column("doc_b").to_numpy(zero_copy_only=False)
-        for t in ray.get(pairs.to_arrow_refs())
+        for t in ray.get(pairs.materialize().to_arrow_refs())
         if len(t) and "doc_b" in t.column_names
     ]  # pair-sized by construction — safe to collect
     drop = (

@@ -36,7 +36,7 @@ from ..stages.grouping import drop_empty_blocks, sized_join
 def _fold_count(ds: rd.Dataset) -> int:
     """Sum a single-int64-column dataset of per-batch partials."""
     total = 0
-    for ref in ds.to_arrow_refs():
+    for ref in ds.materialize().to_arrow_refs():
         t = ray.get(ref)
         if len(t):
             total += int(pc.sum(t.column(0)).as_py() or 0)
@@ -87,7 +87,7 @@ def dq_checks(
         doc_partial, batch_format="pyarrow"
     )
     acc = {"empty": 0, "mismatch": 0, "short": 0}
-    for ref in doc_p.to_arrow_refs():
+    for ref in doc_p.materialize().to_arrow_refs():
         t = ray.get(ref)
         for k in acc:
             if len(t):
@@ -113,7 +113,7 @@ def dq_checks(
         # one np.unique on the concatenated key column — violations =
         # Σ cnt − #distinct, identical to the exchange's Σ (cnt − 1)
         total, all_ids = 0, []
-        for ref in id_parts.to_arrow_refs():
+        for ref in id_parts.materialize().to_arrow_refs():
             t = ray.get(ref)
             if len(t):
                 total += int(pc.sum(t.column("cnt")).as_py() or 0)
@@ -172,7 +172,7 @@ def dq_checks(
         orders_partial, batch_format="pyarrow"
     )
     fk_o, st_o = 0, 0
-    for ref in ord_p.to_arrow_refs():
+    for ref in ord_p.materialize().to_arrow_refs():
         t = ray.get(ref)
         if len(t):
             fk_o += int(pc.sum(t.column("fk")).as_py() or 0)
@@ -230,7 +230,7 @@ def dq_checks(
             for t in ray.get(
                 lineitem.select_columns(["l_orderkey"])
                 .map_batches(orphan_keys, batch_format="pyarrow")
-                .to_arrow_refs()
+                .materialize().to_arrow_refs()
             )
             if len(t)
         ]

@@ -261,7 +261,7 @@ def _collect_signatures(sigs_ds: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
     Driver-resident: ~(8 + 8·num_perm) bytes/doc. Cluster scale: keep it
     a Dataset and hash-join candidates on doc_id instead."""
     ids_parts, mat_parts = [], []
-    for ref in sigs_ds.to_arrow_refs():
+    for ref in sigs_ds.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t):
             continue
@@ -737,7 +737,7 @@ def simhash_near_pairs(documents: rd.Dataset, max_hamming: int = 3) -> rd.Datase
     if n_docs == 0:
         return rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
     if n_docs <= DRIVER_FASTPATH_ROWS:
-        tbl = pa.concat_tables(ray.get(sh.to_arrow_refs()))
+        tbl = pa.concat_tables(ray.get(sh.materialize().to_arrow_refs()))
         out = bucket_pairs(explode_bands(tbl).to_pandas()) if len(tbl) else empty
         return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
     exploded = sh.map_batches(explode_bands, batch_format="pyarrow")
@@ -850,7 +850,7 @@ def _ngram_pairs_distributed(
 
     # referenced doc ids — candidate-pair-sized, safe to broadcast
     ref_ids: list[np.ndarray] = []
-    for t in ray.get(cand.to_arrow_refs()):
+    for t in ray.get(cand.materialize().to_arrow_refs()):
         if len(t):
             ref_ids.append(t.column("doc_a").to_numpy(zero_copy_only=False))
             ref_ids.append(t.column("doc_b").to_numpy(zero_copy_only=False))
@@ -977,7 +977,7 @@ def ngram_jaccard_pairs(
     # side table). They feed BOTH the pair exchange and the per-doc
     # min-bucket side table that makes pairs globally unique in one
     # exchange.
-    bparts = [t for t in (ray.get(r) for r in bucketed.to_arrow_refs()) if len(t)]
+    bparts = [t for t in (ray.get(r) for r in bucketed.materialize().to_arrow_refs()) if len(t)]
     if not bparts:
         return rd.from_arrow(empty)
     btbl = pa.concat_tables(bparts)
@@ -1045,7 +1045,7 @@ def ngram_jaccard_pairs(
         cand = bucketed_group_apply(
             rd.from_arrow(btbl), ["bucket"], bucket_pairs, n_buckets=32
         )
-        cand_parts = [t for t in (ray.get(r) for r in cand.to_arrow_refs()) if len(t)]
+        cand_parts = [t for t in (ray.get(r) for r in cand.materialize().to_arrow_refs()) if len(t)]
         cand_tbl = pa.concat_tables(cand_parts) if cand_parts else None
     if cand_tbl is None or not len(cand_tbl):
         return rd.from_arrow(empty)
@@ -1076,7 +1076,7 @@ def ngram_jaccard_pairs(
 
     gram_rows = documents.map_batches(gather_sets, batch_format="pyarrow")
     sets_by_doc: dict[int, set] = {}
-    for ref in gram_rows.to_arrow_refs():
+    for ref in gram_rows.materialize().to_arrow_refs():
         t = ray.get(ref)
         for did, gs in zip(t.column("doc_id").to_pylist(), t.column("grams").to_pylist()):
             sets_by_doc[int(did)] = set(gs)
@@ -1274,7 +1274,7 @@ def containment_pairs(
         # candidate passes locally, skipping two all-to-all exchanges
         # whose fixed cost dwarfs this data size
         gtbl = pa.concat_tables(
-            [t for t in ray.get(gram_rows_all.to_arrow_refs()) if len(t)]
+            [t for t in ray.get(gram_rows_all.materialize().to_arrow_refs()) if len(t)]
         )
         cand_pd = pair_hits_filter(bucket_pairs(gtbl.to_pandas()))
         if not len(cand_pd):
@@ -1293,7 +1293,7 @@ def containment_pairs(
 
     # referenced doc ids — candidate-pair-sized, safe to broadcast
     ref_ids: list[np.ndarray] = []
-    for t in ray.get(cand.to_arrow_refs()):
+    for t in ray.get(cand.materialize().to_arrow_refs()):
         if len(t):
             ref_ids.append(t.column("doc_a").to_numpy(zero_copy_only=False))
             ref_ids.append(t.column("doc_b").to_numpy(zero_copy_only=False))
@@ -1358,13 +1358,13 @@ def containment_pairs(
         # two hash joins carry ~4 s of aggregator-actor startup each at
         # this size — resolve the packed gram blobs locally instead
         by_doc: dict[int, bytes] = {}
-        for t in ray.get(gram_sets.to_arrow_refs()):
+        for t in ray.get(gram_sets.materialize().to_arrow_refs()):
             for did, blob in zip(
                 t.column("doc_id").to_pylist(), t.column("grams").to_pylist()
             ):
                 by_doc[int(did)] = blob
         parts = []
-        for t in ray.get(cand.to_arrow_refs()):
+        for t in ray.get(cand.materialize().to_arrow_refs()):
             if not len(t):
                 continue
             av = t.column("doc_a").to_pylist()
@@ -2023,7 +2023,7 @@ def cross_source_pairs(
         import ray
 
         t = pa.concat_tables(
-            ray.get(documents.select_columns([id_col, key_col]).to_arrow_refs())
+            ray.get(documents.select_columns([id_col, key_col]).materialize().to_arrow_refs())
         )
         src_ref = ray.put(dict(zip(t[id_col].to_pylist(), t[key_col].to_pylist())))
 
@@ -2166,7 +2166,7 @@ def near_dup_vs_snapshot(
         # side scan ships back a filtered sliver (no union.count() pass,
         # no whole-corpus id collect)
         ref: list[np.ndarray] = []
-        for t in ray.get(pairs.to_arrow_refs()):
+        for t in ray.get(pairs.materialize().to_arrow_refs()):
             if len(t):
                 ref.append(t.column("doc_a").to_numpy(zero_copy_only=False))
                 ref.append(t.column("doc_b").to_numpy(zero_copy_only=False))
@@ -2180,7 +2180,7 @@ def near_dup_vs_snapshot(
                 side_ids(current, 1)
                 .union(side_ids(snapshot, 0))
                 .map_batches(only_ref, batch_format="pyarrow")
-                .to_arrow_refs()
+                .materialize().to_arrow_refs()
             )
         )
         lut = dict(zip(sides[id_col].to_pylist(), sides["side"].to_pylist()))
@@ -2336,7 +2336,7 @@ def contrastive_negatives(
     if n_cells <= DRIVER_FASTPATH_ROWS:
         # slim cell rows fit the driver contract → candidate generation
         # and pair dedup run locally, skipping two exchanges
-        ctbl = pa.concat_tables([t for t in ray.get(cells.to_arrow_refs()) if len(t)])
+        ctbl = pa.concat_tables([t for t in ray.get(cells.materialize().to_arrow_refs()) if len(t)])
         cp = cell_pairs(ctbl.to_pandas())
         if not len(cp):
             return rd.from_arrow(empty)
@@ -2367,7 +2367,7 @@ def contrastive_negatives(
 
     if n_cand <= DRIVER_FASTPATH_ROWS:
         ids, mat = _collect_signatures(sigs_ds)
-        ct = pa.concat_tables([t for t in ray.get(cand.to_arrow_refs()) if len(t)])
+        ct = pa.concat_tables([t for t in ray.get(cand.materialize().to_arrow_refs()) if len(t)])
         a = ct.column("doc_a").to_numpy(zero_copy_only=False)
         b = ct.column("doc_b").to_numpy(zero_copy_only=False)
         ia = np.searchsorted(ids, a)
@@ -2438,7 +2438,7 @@ def contrastive_negatives(
 
         est_parts = [
             t for t in ray.get(
-                j.map_batches(est_fn, batch_format="pyarrow").to_arrow_refs()
+                j.map_batches(est_fn, batch_format="pyarrow").materialize().to_arrow_refs()
             ) if len(t)
         ]
         if not est_parts:
@@ -2938,7 +2938,7 @@ def tfidf_cosine_pairs(
     # capped-df map: rare vocabulary only — strictly smaller than the
     # full vocab broadcast the keyword extractor already uses
     rare: dict[str, int] = {}
-    for ref in dfs.to_arrow_refs():
+    for ref in dfs.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t):  # zero-row groupby blocks carry an empty schema
             continue
@@ -3100,7 +3100,7 @@ def dedup_threshold_sweep(
     if n_total <= DRIVER_FASTPATH_ROWS:
         # pair table fits the driver contract — one collect, vector masks
         tbls = [
-            t for t in ray.get(pairs.to_arrow_refs())
+            t for t in ray.get(pairs.materialize().to_arrow_refs())
             if len(t) and "doc_a" in t.column_names
         ]
         if not tbls:
@@ -3317,7 +3317,7 @@ def minhash_calibration(
     # referenced doc ids — candidate-pair-sized, safe to broadcast (the
     # same convention as containment_pairs' verify pass)
     ref_ids: list[np.ndarray] = []
-    for t in ray.get(pairs.to_arrow_refs()):
+    for t in ray.get(pairs.materialize().to_arrow_refs()):
         if len(t) and "doc_a" in t.column_names:
             ref_ids.append(t.column("doc_a").to_numpy(zero_copy_only=False))
             ref_ids.append(t.column("doc_b").to_numpy(zero_copy_only=False))
@@ -3414,13 +3414,13 @@ def minhash_calibration(
         # pair + pruned-gram tables fit the driver contract — resolve the
         # packed blobs locally, one partial fold, no joins
         by_doc: dict[int, bytes] = {}
-        for t in ray.get(gram_sets.to_arrow_refs()):
+        for t in ray.get(gram_sets.materialize().to_arrow_refs()):
             for did, blob in zip(
                 t.column("doc_id").to_pylist(), t.column("grams").to_pylist()
             ):
                 by_doc[int(did)] = blob
         parts = []
-        for t in ray.get(pairs.to_arrow_refs()):
+        for t in ray.get(pairs.materialize().to_arrow_refs()):
             if not len(t) or "doc_a" not in t.column_names:
                 continue
             av = t.column("doc_a").to_pylist()

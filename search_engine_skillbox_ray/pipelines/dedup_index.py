@@ -395,7 +395,7 @@ def query_minhash_index(
 
     # probe set: distinct partition keys — ≤ n_band_parts ints
     parts: set[int] = set()
-    for t in ray.get(q_bands.to_arrow_refs()):
+    for t in ray.get(q_bands.materialize().to_arrow_refs()):
         if len(t):
             parts.update(np.unique(t.column("part").to_numpy(zero_copy_only=False)).tolist())
     files = _partition_files(out, "part", sorted(parts))
@@ -497,7 +497,7 @@ def query_minhash_index(
 
     # candidate indexed ids → partition-pruned sig read (pair-sized set)
     ref_i: list[np.ndarray] = []
-    for t in ray.get(cand.to_arrow_refs()):
+    for t in ray.get(cand.materialize().to_arrow_refs()):
         if len(t):
             ref_i.append(t.column("indexed_doc_id").to_numpy(zero_copy_only=False))
     idx_ids = np.unique(np.concatenate(ref_i))
@@ -662,7 +662,7 @@ def _query_fastpath(
 ) -> rd.Dataset:
     """Driver-local candidate join + est verify for small probe/partition
     row counts — identical pair set to the distributed path (tested)."""
-    qb = pa.concat_tables([t for t in ray.get(q_bands.to_arrow_refs()) if len(t)])
+    qb = pa.concat_tables([t for t in ray.get(q_bands.materialize().to_arrow_refs()) if len(t)])
     if not len(qb):
         return rd.from_arrow(_EMPTY_QUERY_PAIRS)
     # indexed band rows, tombstone-filtered per source-file seq
@@ -718,7 +718,7 @@ def _query_fastpath(
     # signatures: query side from the materialized qsigs blocks, indexed
     # side from candidate-id-filtered, tombstone-filtered sig partitions
     q_sig: dict[int, bytes] = {}
-    for t in ray.get(qsigs.to_arrow_refs()):
+    for t in ray.get(qsigs.materialize().to_arrow_refs()):
         for d, s in zip(t.column("doc_id").to_pylist(), t.column("sig").to_pylist()):
             q_sig[int(d)] = s
     need = np.unique(pi)

@@ -908,7 +908,7 @@ def triangle_counts(
         # connected_components): near-dup pair graphs and per-site link
         # graphs are edge-tiny next to the corpus — seven exchanges plus
         # three joins of fixed ~1-4 s each dwarf the actual compute
-        et = pa.concat_tables([t for t in ray.get(canoned.to_arrow_refs()) if len(t)])
+        et = pa.concat_tables([t for t in ray.get(canoned.materialize().to_arrow_refs()) if len(t)])
         a = np.asarray(et.column("a").to_pylist(), dtype=object)
         b = np.asarray(et.column("b").to_pylist(), dtype=object)
         nodes, codes = np.unique(np.concatenate([a, b]), return_inverse=True)
@@ -1154,7 +1154,7 @@ def adamic_adar_pairs(
 
     if n_edge_rows <= DRIVER_FASTPATH_ROWS:
         et = pa.concat_tables(
-            [t for t in ray.get(canoned.to_arrow_refs()) if len(t)]
+            [t for t in ray.get(canoned.materialize().to_arrow_refs()) if len(t)]
         )
         a = np.asarray(et.column("a").to_pylist(), dtype=object)
         b = np.asarray(et.column("b").to_pylist(), dtype=object)
@@ -1434,7 +1434,8 @@ def personalized_pagerank(
         return pa.table({"c": pa.array([int(np.isin(u, sd).sum())], pa.int64())})
 
     n_seeds = 0
-    for ref in nodes_ds.map_batches(count_seeds, batch_format="pyarrow").to_arrow_refs():
+    seeds_ds = nodes_ds.map_batches(count_seeds, batch_format="pyarrow").materialize()
+    for ref in seeds_ds.to_arrow_refs():
         n_seeds += int(
             np.sum(ray.get(ref).column("c").to_numpy(zero_copy_only=False))
         )

@@ -6,7 +6,7 @@ pass; at a true 10^12-doc deployment the alternative is a DERIVED docID
 exchange and ~1e-15 collision odds (codec.py "128-bit ids" discusses
 why 64 bits are NOT enough there). This module closes the loop the
 codec (``encode_posting_list_128``) and query layer (``stages/
-wand128``) left open: a distributed BUILD producing persisted 128-bit
+wand``) left open: a distributed BUILD producing persisted 128-bit
 segments from a documents table, and a SERVE function running block-max
 top-k directly over them.
 
@@ -247,7 +247,7 @@ def ray_get_all(ds: rd.Dataset) -> list[pa.Table]:
     import ray
 
     return [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
-            for t in ray.get(ds.to_arrow_refs())]
+            for t in ray.get(ds.materialize().to_arrow_refs())]
 
 
 def topk_128(
@@ -266,7 +266,7 @@ def topk_128(
     which a SQL mirror reproduces with ``ORDER BY score DESC,
     md5(url)``). Reads ONLY the query terms' bucket files."""
     from ..functions.tokenize import query_lemmas
-    from ..stages.wand128 import (
+    from ..stages.wand import (
         topk_conjunctive_bmw_128,
         topk_disjunctive_maxscore_128,
     )

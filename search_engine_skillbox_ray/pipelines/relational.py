@@ -111,7 +111,7 @@ def pricing_summary(lineitem: rd.Dataset, *, cutoff_iso: str) -> pd.DataFrame:
     )
     # group-count × batch-count rows — bounded driver fold in Python ints
     acc: dict[tuple[str, str], list[int]] = {}
-    for ref in partials.to_arrow_refs():
+    for ref in partials.materialize().to_arrow_refs():
         t = ray.get(ref)
         d = t.to_pydict()
         for i in range(len(t)):
@@ -178,7 +178,7 @@ def ship_priority(
         ),
         batch_format="pyarrow",
     )
-    for ref in ckeys.to_arrow_refs():
+    for ref in ckeys.materialize().to_arrow_refs():
         cust_keys.update(ray.get(ref).column("c_custkey").to_pylist())
     ck_ref = [ray.put(np.array(sorted(cust_keys), np.int64))]
 
@@ -230,7 +230,7 @@ def ship_priority(
         # driver fastpath: order map is small — fold per-order revenue
         # locally, join in memory
         omap: dict[int, object] = {}
-        for ref in sel_orders.to_arrow_refs():
+        for ref in sel_orders.materialize().to_arrow_refs():
             t = ray.get(ref)
             for okey, od in zip(
                 t.column("o_orderkey").to_pylist(),
@@ -238,7 +238,7 @@ def ship_priority(
             ):
                 omap[okey] = od
         rev: dict[int, int] = {}
-        for ref in li.to_arrow_refs():
+        for ref in li.materialize().to_arrow_refs():
             t = ray.get(ref)
             for okey, rc in zip(
                 t.column("l_orderkey").to_pylist(), t.column("rev_c4").to_pylist()
@@ -302,8 +302,8 @@ def region_revenue(
     d1 = np.datetime64(date_to_iso, "us")
 
     # dimensions: tens of rows by definition — driver-side collect
-    nat = pa.concat_tables(ray.get(nation.to_arrow_refs()))
-    reg = pa.concat_tables(ray.get(region.to_arrow_refs()))
+    nat = pa.concat_tables(ray.get(nation.materialize().to_arrow_refs()))
+    reg = pa.concat_tables(ray.get(region.materialize().to_arrow_refs()))
     rkeys = {
         rk
         for rk, rn in zip(
@@ -340,7 +340,7 @@ def region_revenue(
     # customer dimension; at cluster scale flip to sized_join like the
     # order map below — same gate)
     c2n: dict[int, int] = {}
-    for ref in cust.to_arrow_refs():
+    for ref in cust.materialize().to_arrow_refs():
         t = ray.get(ref)
         c2n.update(
             zip(t.column("c_custkey").to_pylist(), t.column("c_nationkey").to_pylist())
@@ -393,12 +393,12 @@ def region_revenue(
     rev_by_nation: dict[int, int] = {}
     if sel_orders.count() <= DRIVER_FASTPATH_ROWS:
         o2n: dict[int, int] = {}
-        for ref in sel_orders.to_arrow_refs():
+        for ref in sel_orders.materialize().to_arrow_refs():
             t = ray.get(ref)
             o2n.update(
                 zip(t.column("o_orderkey").to_pylist(), t.column("nationkey").to_pylist())
             )
-        for ref in li.to_arrow_refs():
+        for ref in li.materialize().to_arrow_refs():
             t = ray.get(ref)
             for okey, rc in zip(
                 t.column("l_orderkey").to_pylist(), t.column("rev_c4").to_pylist()
@@ -480,7 +480,7 @@ def order_priority_counts(
         # Driver fastpath: broadcast the (sorted orderkey, orderdate)
         # arrays of the selected window once; each lineitem batch emits
         # only the DISTINCT orderkeys whose shipdate is late. No shuffle.
-        parts = [p for p in (ray.get(r) for r in sel.to_arrow_refs()) if p.num_rows]
+        parts = [p for p in (ray.get(r) for r in sel.materialize().to_arrow_refs()) if p.num_rows]
         if not parts:
             return pd.DataFrame({"o_orderpriority": [], "order_count": []})
         st = pa.concat_tables(parts)
@@ -508,7 +508,7 @@ def order_priority_counts(
             ray.get(r)
             for r in lineitem.select_columns(["l_orderkey", "l_shipdate"])
             .map_batches(li_late, batch_format="pyarrow", batch_size=65536)
-            .to_arrow_refs()
+            .materialize().to_arrow_refs()
         ]
         lk_all = np.unique(
             np.concatenate(
@@ -620,7 +620,7 @@ def rollup_pricing(lineitem: rd.Dataset) -> pd.DataFrame:
 
     # detail fold: ≤ 6 groups, Python-int accumulators
     acc: dict[tuple[str, str], list[int]] = {}
-    for ref in partials.to_arrow_refs():
+    for ref in partials.materialize().to_arrow_refs():
         t = ray.get(ref)
         d = t.to_pydict()
         for i in range(len(t)):
@@ -709,7 +709,7 @@ def revenue_filter(
         ["l_shipdate", "l_quantity", "l_extendedprice", "l_discount"]
     ).map_batches(partial, batch_format="pyarrow", batch_size=16384)
     rev, n = 0, 0
-    for ref in partials.to_arrow_refs():
+    for ref in partials.materialize().to_arrow_refs():
         t = ray.get(ref)
         for i in range(len(t)):
             rev += t.column("rev_c4")[i].as_py()
@@ -738,8 +738,8 @@ def enrich_orders(
     materialization of the fact side."""
     from ..config import DRIVER_FASTPATH_ROWS
 
-    nat = pa.concat_tables(ray.get(nation.to_arrow_refs()))
-    reg = pa.concat_tables(ray.get(region.to_arrow_refs()))
+    nat = pa.concat_tables(ray.get(nation.materialize().to_arrow_refs()))
+    reg = pa.concat_tables(ray.get(region.materialize().to_arrow_refs()))
     n_key = nat.column("n_nationkey").to_numpy(zero_copy_only=False).astype(np.int64)
     n_name = np.asarray(nat.column("n_name").to_pylist(), dtype=object)
     n_reg = nat.column("n_regionkey").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -767,7 +767,7 @@ def enrich_orders(
             ray.get(
                 customer.select_columns(
                     ["c_custkey", "c_name", "c_mktsegment", "c_nationkey"]
-                ).to_arrow_refs()
+                ).materialize().to_arrow_refs()
             )
         )
         ckey = ct.column("c_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -894,7 +894,7 @@ def top_parts_by_revenue(
     parts_stream = lineitem.select_columns(
         ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
     ).map_batches(partial, batch_format="pyarrow", batch_size=16384)
-    for ref in parts_stream.to_arrow_refs():
+    for ref in parts_stream.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t):
             continue
@@ -912,7 +912,9 @@ def top_parts_by_revenue(
 
     top = sorted(acc_rev, key=lambda x: (-acc_rev[x], x))[:k]
     pt = pa.concat_tables(
-        ray.get(part.select_columns(["p_partkey", "p_name", "p_brand"]).to_arrow_refs())
+        ray.get(
+            part.select_columns(["p_partkey", "p_name", "p_brand"]).materialize().to_arrow_refs()
+        )
     )
     pkeys = pt.column("p_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(pkeys)
@@ -949,8 +951,8 @@ def supplier_nation_profile(
     Scale shape: supplier streams with per-batch (nationkey → count,
     balance-cents) combiners; nation/region resolve on the driver
     (constant-sized). Balance sums in integer cents, divided once."""
-    nat = pa.concat_tables(ray.get(nation.to_arrow_refs()))
-    reg = pa.concat_tables(ray.get(region.to_arrow_refs()))
+    nat = pa.concat_tables(ray.get(nation.materialize().to_arrow_refs()))
+    reg = pa.concat_tables(ray.get(region.materialize().to_arrow_refs()))
     n_key = nat.column("n_nationkey").to_numpy(zero_copy_only=False).astype(np.int64)
     n_name = np.asarray(nat.column("n_name").to_pylist(), dtype=object)
     n_reg = nat.column("n_regionkey").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -983,7 +985,7 @@ def supplier_nation_profile(
     for ref in (
         supplier.select_columns(["s_nationkey", "s_acctbal"])
         .map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         if not len(t):
@@ -1059,7 +1061,7 @@ def customer_order_distribution(
     n_with_orders = 0
     for ref in per_cust.map_batches(
         h_partial, batch_format="pyarrow"
-    ).to_arrow_refs():
+    ).materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t):
             continue
@@ -1129,7 +1131,7 @@ def important_parts(
     # global total from the part-grain table (part-count-sized scan)
     total = 0
     parts: list[pa.Table] = []
-    for ref in per_part.to_arrow_refs():
+    for ref in per_part.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t):
             continue
@@ -1197,7 +1199,7 @@ def idle_customers(
     for ref in (
         customer.select_columns(["c_nationkey", "c_acctbal"])
         .map_batches(c_partial, batch_format="pyarrow", batch_size=65536)
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         d = t.to_pydict()
@@ -1244,7 +1246,7 @@ def idle_customers(
             np.concatenate(
                 [
                     ray.get(r).column("c_custkey").to_numpy(zero_copy_only=False)
-                    for r in has_order.to_arrow_refs()
+                    for r in has_order.materialize().to_arrow_refs()
                 ]
                 or [np.empty(0, np.int64)]
             )
@@ -1275,7 +1277,7 @@ def idle_customers(
         for ref in (
             customer.select_columns(["c_custkey", "c_nationkey", "c_acctbal"])
             .map_batches(c_anti, batch_format="pyarrow", batch_size=65536)
-            .to_arrow_refs()
+            .materialize().to_arrow_refs()
         ):
             t = ray.get(ref)
             if len(t):
@@ -1313,7 +1315,7 @@ def idle_customers(
             )
         for ref in joined.map_batches(
             anti, batch_format="pyarrow"
-        ).to_arrow_refs():
+        ).materialize().to_arrow_refs():
             t = ray.get(ref)
             if len(t):
                 d = t.to_pydict()
@@ -1401,13 +1403,13 @@ def returned_item_revenue(
     if n_orders <= DRIVER_FASTPATH_ROWS:
         # driver fastpath: date window keeps the order map small
         omap: dict[int, int] = {}
-        for ref in sel_orders.to_arrow_refs():
+        for ref in sel_orders.materialize().to_arrow_refs():
             t = ray.get(ref)
             for ok, ck in zip(
                 t.column("o_orderkey").to_pylist(), t.column("o_custkey").to_pylist()
             ):
                 omap[ok] = ck
-        for ref in li.to_arrow_refs():
+        for ref in li.materialize().to_arrow_refs():
             t = ray.get(ref)
             for ok, rc in zip(
                 t.column("l_orderkey").to_pylist(), t.column("rev_c4").to_pylist()
@@ -1445,7 +1447,7 @@ def returned_item_revenue(
             .groupby("o_custkey")
             .sum("rev_c4")
         )
-        for ref in per_cust.to_arrow_refs():
+        for ref in per_cust.materialize().to_arrow_refs():
             t = ray.get(ref)
             if not len(t) or "o_custkey" not in t.column_names:
                 continue  # zero-row empty-schema groupby block (Ray 2.49)
@@ -1472,14 +1474,14 @@ def returned_item_revenue(
     hyd = customer.select_columns(
         ["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
     ).map_batches(c_hydrate, batch_format="pyarrow")
-    for ref in hyd.to_arrow_refs():
+    for ref in hyd.materialize().to_arrow_refs():
         t = ray.get(ref)
         for r in t.to_pylist():
             cust_rows[r["c_custkey"]] = (r["c_name"], r["c_acctbal"], r["c_nationkey"])
 
     nmap = {
         r["n_nationkey"]: r["n_name"]
-        for ref in nation.select_columns(["n_nationkey", "n_name"]).to_arrow_refs()
+        for ref in nation.select_columns(["n_nationkey", "n_name"]).materialize().to_arrow_refs()
         for r in ray.get(ref).to_pylist()
     }
 
@@ -1543,7 +1545,7 @@ def big_volume_orders(
     big: dict[int, int] = {}
     if orders.count() <= DRIVER_FASTPATH_ROWS:
         acc: dict[int, int] = {}
-        for ref in partials.to_arrow_refs():
+        for ref in partials.materialize().to_arrow_refs():
             t = ray.get(ref)
             ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
             qc = t.column("qty_c").to_numpy(zero_copy_only=False)
@@ -1552,7 +1554,7 @@ def big_volume_orders(
         big = {a: b for a, b in acc.items() if b > thresh_c}
     else:
         per_order = partials.groupby("l_orderkey").sum("qty_c")
-        for ref in per_order.to_arrow_refs():
+        for ref in per_order.materialize().to_arrow_refs():
             t = ray.get(ref)
             if not len(t) or "l_orderkey" not in t.column_names:
                 continue
@@ -1577,7 +1579,7 @@ def big_volume_orders(
     for ref in (
         orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
         .map_batches(o_hydrate, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         orows.extend(ray.get(ref).to_pylist())
 
@@ -1626,7 +1628,7 @@ def small_quantity_revenue(
         lambda t: t.filter(pc.equal(t.column("p_brand"), brand)).select(["p_partkey"]),
         batch_format="pyarrow",
     )
-    for ref in pfilt.to_arrow_refs():
+    for ref in pfilt.materialize().to_arrow_refs():
         pk_set.extend(ray.get(ref).column("p_partkey").to_pylist())
     pk_arr = np.array(sorted(pk_set), np.int64)
     pk_ref = ray.put(pk_arr)
@@ -1658,7 +1660,7 @@ def small_quantity_revenue(
     for ref in (
         li_cols.select_columns(["l_partkey", "l_quantity"])
         .map_batches(qty_partial, batch_format="pyarrow", batch_size=65536)
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         for r in t.to_pylist():
@@ -1687,7 +1689,7 @@ def small_quantity_revenue(
     total_c = 0
     for ref in li_cols.map_batches(
         rev_partial, batch_format="pyarrow", batch_size=65536
-    ).to_arrow_refs():
+    ).materialize().to_arrow_refs():
         t = ray.get(ref)
         total_c += int(np.sum(t.column("rev_c").to_numpy(zero_copy_only=False)))
 
@@ -1730,7 +1732,7 @@ def bracket_revenue(
     for ref in (
         part.select_columns(["p_partkey", "p_brand", "p_size"])
         .map_batches(p_mask, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         pks.extend(t.column("p_partkey").to_pylist())
@@ -1764,7 +1766,7 @@ def bracket_revenue(
             ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
         )
         .map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         total += int(
             np.sum(ray.get(ref).column("rev_c4").to_numpy(zero_copy_only=False))
@@ -1800,7 +1802,7 @@ def promo_revenue_share(
             ),
             batch_format="pyarrow",
         )
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         pks.extend(ray.get(ref).column("p_partkey").to_pylist())
     promo_ref = ray.put(np.array(sorted(pks), np.int64))
@@ -1831,7 +1833,7 @@ def promo_revenue_share(
             ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]
         )
         .map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         pnum += int(np.sum(t.column("promo_c4").to_numpy(zero_copy_only=False)))
@@ -1870,7 +1872,7 @@ def supplier_variety(
             ),
             batch_format="pyarrow",
         )
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         bad.extend(ray.get(ref).column("s_suppkey").to_pylist())
     bad_ref = ray.put(np.array(sorted(bad), np.int64))
@@ -1881,7 +1883,7 @@ def supplier_variety(
     szs = set(int(s) for s in sizes)
     for ref in (
         part.select_columns(["p_partkey", "p_brand", "p_type", "p_size"])
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         for r in ray.get(ref).to_pylist():
             if r["p_brand"] != exclude_brand and int(r["p_size"]) in szs:
@@ -1942,7 +1944,7 @@ def supplier_variety(
     per_group = np.zeros(len(groups), np.int64)
     if lineitem.count() <= DRIVER_FASTPATH_ROWS:
         chunks: list[np.ndarray] = []
-        for ref in pair_partials.to_arrow_refs():
+        for ref in pair_partials.materialize().to_arrow_refs():
             t = ray.get(ref)
             if len(t):
                 chunks.append(t.column("pair").to_numpy(zero_copy_only=False))
@@ -1961,7 +1963,7 @@ def supplier_variety(
             gs_partial, batch_format="pyarrow"
         ).groupby("gs").count()
 
-        for ref in gs_ds.to_arrow_refs():
+        for ref in gs_ds.materialize().to_arrow_refs():
             t = ray.get(ref)
             if not len(t) or "gs" not in t.column_names:
                 continue
@@ -2023,7 +2025,7 @@ def cube_pricing(lineitem: rd.Dataset) -> pd.DataFrame:
     ).map_batches(partial, batch_format="pyarrow", batch_size=16384)
 
     acc: dict[tuple[str, str], list[int]] = {}
-    for ref in partials.to_arrow_refs():
+    for ref in partials.materialize().to_arrow_refs():
         t = ray.get(ref)
         d = t.to_pydict()
         for i in range(len(t)):
@@ -2090,7 +2092,7 @@ def nation_trade_volume(
 
     nmap = {
         r["n_name"]: r["n_nationkey"]
-        for ref in nation.select_columns(["n_nationkey", "n_name"]).to_arrow_refs()
+        for ref in nation.select_columns(["n_nationkey", "n_name"]).materialize().to_arrow_refs()
         for r in ray.get(ref).to_pylist()
     }
     nk_a, nk_b = nmap[nation_a], nmap[nation_b]
@@ -2098,7 +2100,7 @@ def nation_trade_volume(
     # suppkey → 0 (nation_a) / 1 (nation_b); suppliers elsewhere dropped
     sk_l: list[int] = []
     sn_l: list[int] = []
-    for ref in supplier.select_columns(["s_suppkey", "s_nationkey"]).to_arrow_refs():
+    for ref in supplier.select_columns(["s_suppkey", "s_nationkey"]).materialize().to_arrow_refs():
         for r in ray.get(ref).to_pylist():
             if r["s_nationkey"] == nk_a:
                 sk_l.append(r["s_suppkey"]); sn_l.append(0)
@@ -2112,7 +2114,7 @@ def nation_trade_volume(
     # custkey slice for the two nations → orders filter → orderkey map
     ck_l: list[int] = []
     cn_l: list[int] = []
-    for ref in customer.select_columns(["c_custkey", "c_nationkey"]).to_arrow_refs():
+    for ref in customer.select_columns(["c_custkey", "c_nationkey"]).materialize().to_arrow_refs():
         for r in ray.get(ref).to_pylist():
             if r["c_nationkey"] == nk_a:
                 ck_l.append(r["c_custkey"]); cn_l.append(0)
@@ -2205,7 +2207,7 @@ def nation_trade_volume(
     if n_sel <= DRIVER_FASTPATH_ROWS:
         ok_l: list[int] = []
         oc_l: list[int] = []
-        for ref in sel_orders.to_arrow_refs():
+        for ref in sel_orders.materialize().to_arrow_refs():
             t = ray.get(ref)
             ok_l.extend(t.column("o_orderkey").to_pylist())
             oc_l.extend(t.column("cnat").to_pylist())
@@ -2215,7 +2217,7 @@ def nation_trade_volume(
         )
         for ref in li_cols.map_batches(
             li_partial(omap_ref), batch_format="pyarrow", batch_size=65536
-        ).to_arrow_refs():
+        ).materialize().to_arrow_refs():
             t = ray.get(ref)
             for r in t.to_pylist():
                 k = (r["snat"], r["cnat"], r["l_year"])
@@ -2256,7 +2258,7 @@ def nation_trade_volume(
             li_order_partial, batch_format="pyarrow", batch_size=65536
         )
         joined = sized_join(per_order, sel_orders, ("o_orderkey",))
-        for ref in joined.to_arrow_refs():
+        for ref in joined.materialize().to_arrow_refs():
             t = ray.get(ref)
             if not len(t) or "snat" not in t.column_names:
                 continue
@@ -2321,7 +2323,7 @@ def top_supplier(
     )
 
     rev: dict[int, int] = {}
-    for ref in per_supp.to_arrow_refs():
+    for ref in per_supp.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t) or "l_suppkey" not in t.column_names:
             continue
@@ -2336,7 +2338,7 @@ def top_supplier(
 
     smap = {
         r["s_suppkey"]: r["s_name"]
-        for ref in supplier.select_columns(["s_suppkey", "s_name"]).to_arrow_refs()
+        for ref in supplier.select_columns(["s_suppkey", "s_name"]).materialize().to_arrow_refs()
         for r in ray.get(ref).to_pylist()
     }
     return pd.DataFrame(
@@ -2381,12 +2383,12 @@ def market_share(
         r["n_nationkey"]: (r["n_name"], r["n_regionkey"])
         for ref in nation.select_columns(
             ["n_nationkey", "n_name", "n_regionkey"]
-        ).to_arrow_refs()
+        ).materialize().to_arrow_refs()
         for r in ray.get(ref).to_pylist()
     }
     rmap = {
         r["r_name"]: r["r_regionkey"]
-        for ref in region.select_columns(["r_regionkey", "r_name"]).to_arrow_refs()
+        for ref in region.select_columns(["r_regionkey", "r_name"]).materialize().to_arrow_refs()
         for r in ray.get(ref).to_pylist()
     }
     region_key = rmap[region_name]
@@ -2403,7 +2405,7 @@ def market_share(
             ),
             batch_format="pyarrow",
         )
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         pks.extend(ray.get(ref).column("p_partkey").to_pylist())
     pk_ref = ray.put(np.array(sorted(pks), np.int64))
@@ -2411,7 +2413,7 @@ def market_share(
     # supplier → is-target-nation flag (smallest TPC-H dimension after
     # nation/region — broadcast by construction; vectorized per block)
     sk_parts: list[np.ndarray] = []
-    for ref in supplier.select_columns(["s_suppkey", "s_nationkey"]).to_arrow_refs():
+    for ref in supplier.select_columns(["s_suppkey", "s_nationkey"]).materialize().to_arrow_refs():
         t = ray.get(ref)
         sk = t.column("s_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
         nk = t.column("s_nationkey").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2463,7 +2465,7 @@ def market_share(
     if customer.count() <= DRIVER_FASTPATH_ROWS:
         ck_parts = [
             ray.get(r).column("o_custkey").to_numpy(zero_copy_only=False)
-            for r in region_cust.to_arrow_refs()
+            for r in region_cust.materialize().to_arrow_refs()
         ]
         ck_arr = np.sort(np.concatenate(ck_parts)) if ck_parts else np.empty(0, np.int64)
         ck_ref = ray.put(ck_arr)
@@ -2540,7 +2542,7 @@ def market_share(
         """Fold years-sized (o_year, total_c4, nat_c4) partial tables
         into the {year: [total, target]} accumulator — shared by both
         gate branches (one Arrow concat + numpy, no row loops)."""
-        tbls = [t for t in ray.get(ds.to_arrow_refs()) if len(t)]
+        tbls = [t for t in ray.get(ds.materialize().to_arrow_refs()) if len(t)]
         if not tbls:
             return {}
         t = pa.concat_tables(tbls)
@@ -2561,7 +2563,7 @@ def market_share(
     if n_sel <= DRIVER_FASTPATH_ROWS:
         ok_l: list[int] = []
         oy_l: list[int] = []
-        for ref in sel_orders.to_arrow_refs():
+        for ref in sel_orders.materialize().to_arrow_refs():
             t = ray.get(ref)
             ok_l.extend(t.column("o_orderkey").to_pylist())
             oy_l.extend(t.column("o_year").to_pylist())
@@ -2706,7 +2708,7 @@ def rfm_segments(
     def _concat(ds: rd.Dataset, cols: tuple[str, str, str, str]) -> tuple:
         # customer-grain result tables → one Arrow concat + numpy arrays
         tbls = [
-            t for t in ray.get(ds.to_arrow_refs())
+            t for t in ray.get(ds.materialize().to_arrow_refs())
             if len(t) and cols[0] in t.column_names
         ]
         if not tbls:
@@ -2801,7 +2803,7 @@ def discount_elasticity(lineitem: rd.Dataset) -> pd.DataFrame:
     for ref in (
         lineitem.select_columns(["l_discount", "l_quantity", "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         for r in t.to_pylist():

@@ -105,7 +105,7 @@ def dsir_weights(
     partials = documents.select_columns([text_col, source_col]).map_batches(
         count_partials, batch_format="pyarrow", batch_size=4096
     )
-    for ref in partials.to_arrow_refs():
+    for ref in partials.materialize().to_arrow_refs():
         t = ray.get(ref)
         for row in range(len(t)):
             raw_tot += np.asarray(t.column("raw")[row].as_py(), np.int64)
@@ -179,7 +179,7 @@ def weighted_sample_topk(
         partial, batch_format="pyarrow", batch_size=4096
     )
     # ≤ k rows per batch — bounded driver merge
-    t = pa.concat_tables(ray.get(slim.to_arrow_refs()))
+    t = pa.concat_tables(ray.get(slim.materialize().to_arrow_refs()))
     ids = t.column(id_col).to_numpy(zero_copy_only=False)
     key = t.column("key").to_numpy(zero_copy_only=False)
     idx = np.lexsort((ids, key))[: min(k, len(ids))]
@@ -274,7 +274,7 @@ def nb_classify(
     )
     # vocabulary-sized model collect (annotated): C·V weight rows —
     # zero-row groupby blocks carry an empty schema, drop them
-    model_t = pa.concat_tables([t for t in ray.get(counts.to_arrow_refs()) if len(t)])
+    model_t = pa.concat_tables([t for t in ray.get(counts.materialize().to_arrow_refs()) if len(t)])
     m_src = np.asarray(model_t.column("source").to_pylist(), dtype=object)
     m_term = np.asarray(model_t.column("term").to_pylist(), dtype=object)
     m_cnt = model_t.column("sum(cnt)").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -407,7 +407,7 @@ def mixture_plan_ds(documents: rd.Dataset) -> "pd.DataFrame":
     )
 
     toks: dict[str, int] = {}
-    for ref in agg.to_arrow_refs():
+    for ref in agg.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t) or "source" not in t.column_names:
             continue
@@ -477,7 +477,7 @@ def unimax_plan_ds(
         .sum("n_tokens")
     )
     toks: dict[str, int] = {}
-    for ref in agg.to_arrow_refs():
+    for ref in agg.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t) or "source" not in t.column_names:
             continue

@@ -935,7 +935,7 @@ def bigram_pmi_ds(
 
     # split: sentinel rows are the unigram vocabulary (bounded) — collect
     uni_parts, t_uni_i, t_bi_i = [], 0, 0
-    for t in ray.get(counted.to_arrow_refs()):
+    for t in ray.get(counted.materialize().to_arrow_refs()):
         if not len(t):
             continue
         is_uni = pc.equal(t.column("term_b"), "")
@@ -2346,7 +2346,9 @@ def curation_score_ds(
     parts = [
         t
         for t in ray.get(
-            signals.map_batches(moment_partials, batch_format="pyarrow").to_arrow_refs()
+            signals.map_batches(moment_partials, batch_format="pyarrow")
+            .materialize()
+            .to_arrow_refs()
         )
         if len(t)
     ]
@@ -3125,7 +3127,7 @@ def complete_context_ds(
 
     # drop zero-row blocks: Ray 2.49 groupby outputs can emit empty
     # blocks with an EMPTY schema, which poisons pa.concat_tables
-    out_chunks = [t for t in ray.get(cont.to_arrow_refs()) if len(t)]
+    out_chunks = [t for t in ray.get(cont.materialize().to_arrow_refs()) if len(t)]
     # continuation vocabulary of ONE context term — tiny by construction
     full = (
         pa.concat_tables(out_chunks)
@@ -3205,7 +3207,7 @@ def heavy_hitters_ds(documents: rd.Dataset, k: int = 50) -> pa.Table:
     parts = documents.select_columns(["text"]).map_batches(
         mg_partial, batch_format="pyarrow"
     )
-    for ref in parts.to_arrow_refs():
+    for ref in parts.materialize().to_arrow_refs():
         t = ray.get(ref)
         for term, c in zip(t.column("term").to_pylist(), t.column("cnt").to_pylist()):
             if term == "\x00total":
@@ -3235,7 +3237,7 @@ def heavy_hitters_ds(documents: rd.Dataset, k: int = 50) -> pa.Table:
 
     ex: dict[str, int] = {c: 0 for c in cands}
     rp = documents.select_columns(["text"]).map_batches(recount, batch_format="pyarrow")
-    for ref in rp.to_arrow_refs():
+    for ref in rp.materialize().to_arrow_refs():
         t = ray.get(ref)
         for term, c in zip(t.column("term").to_pylist(), t.column("cnt").to_pylist()):
             ex[term] += c
@@ -3300,7 +3302,10 @@ def zipf_fit_ds(documents: rd.Dataset, top_m: int = 1000) -> pa.Table:
             }
         )
 
-    parts = [ray.get(r) for r in vocab.map_batches(topm, batch_format="pyarrow").to_arrow_refs()]
+    parts = [
+        ray.get(r)
+        for r in vocab.map_batches(topm, batch_format="pyarrow").materialize().to_arrow_refs()
+    ]
     t = pa.concat_tables([p for p in parts if len(p)])
     terms = np.array(t.column("term").to_pylist())
     cfs = t.column("cf").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3371,7 +3376,7 @@ def sif_embed_ds(
                 .map_batches(cf_partial, batch_format="pyarrow", batch_size=4096)
                 .groupby("term")
                 .sum("cf")
-                .to_arrow_refs()
+                .materialize().to_arrow_refs()
             )
             if len(t)  # zero-row groupby blocks carry an empty schema
         ]
@@ -3493,7 +3498,7 @@ def search_passages_ds(
         [
             x
             for x in ray.get(
-                chunks.map_batches(slim, batch_format="pyarrow").to_arrow_refs()
+                chunks.map_batches(slim, batch_format="pyarrow").materialize().to_arrow_refs()
             )
             if len(x)
         ]
@@ -3673,7 +3678,7 @@ def cori_shard_scores(
     for ref in (
         documents.select_columns(["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         for s_, t_, v_ in zip(
@@ -3781,7 +3786,7 @@ def bm25f_scores_ds(
     for ref in (
         documents.select_columns(["text"])
         .map_batches(stats_partial, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         dlw_total += float(np.sum(t.column("dlw_sum").to_numpy(zero_copy_only=False)))
@@ -3926,7 +3931,7 @@ def query_clarity_ds(
     for ref in (
         documents.select_columns(["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         for term, v, inr in zip(
@@ -3994,7 +3999,7 @@ def psi_drift_ds(
     )
 
     counts = np.zeros(n_buckets * 2, np.int64)
-    for ref in agg.to_arrow_refs():
+    for ref in agg.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t) or "key" not in t.column_names:
             continue

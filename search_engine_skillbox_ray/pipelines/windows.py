@@ -518,7 +518,7 @@ def funnel_counts(
     partials = bucketed_group_apply(slim, [user_col], per_bucket, n_buckets=32)
     # fold: k rows per bucket — firmly inside the driver contract
     totals = np.zeros(len(steps), np.int64)
-    for t in ray.get(partials.to_arrow_refs()):
+    for t in ray.get(partials.materialize().to_arrow_refs()):
         if not len(t):
             continue
         s = t.column("step").to_numpy(zero_copy_only=False)
@@ -861,7 +861,7 @@ def value_outliers(
     for ref in (
         events.select_columns([val_col])
         .map_batches(moments, batch_format="pyarrow")
-        .to_arrow_refs()
+        .materialize().to_arrow_refs()
     ):
         t = ray.get(ref)
         if len(t):
@@ -1022,7 +1022,7 @@ def json_props_stats(
         for t in ray.get(
             events.select_columns([type_col, props_col])
             .map_batches(partial, batch_format="pyarrow")
-            .to_arrow_refs()
+            .materialize().to_arrow_refs()
         )
         if len(t)
     ]
@@ -1178,7 +1178,7 @@ def value_mad_outliers(events: rd.Dataset) -> "pd.DataFrame":
         .sum("cnt")
     )
     hist: dict[int, int] = {}
-    for ref in agg.to_arrow_refs():
+    for ref in agg.materialize().to_arrow_refs():
         t = ray.get(ref)
         if not len(t) or "v_c" not in t.column_names:
             continue

@@ -61,7 +61,7 @@ def export_jsonl(
         os.replace(tmp, path)
         return len(t)
 
-    refs = documents.to_arrow_refs()
+    refs = documents.materialize().to_arrow_refs()
     ray.get(
         [
             write_shard.remote(r, str(out / f"shard-{i:05d}.jsonl"))
@@ -93,7 +93,7 @@ def export_csv(
         os.replace(tmp, path)
         return len(t)
 
-    refs = documents.to_arrow_refs()
+    refs = documents.materialize().to_arrow_refs()
     ray.get(
         [
             write_shard.remote(r, str(out / f"shard-{i:05d}.csv"))

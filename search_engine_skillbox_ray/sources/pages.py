@@ -333,7 +333,7 @@ def compute_dup_winners(
 
     n_rows_est = pages.count()
     if n_rows_est <= DRIVER_FASTPATH_ROWS:
-        tables = [t for t in (ray.get(r) for r in keys.to_arrow_refs()) if len(t)]
+        tables = [t for t in (ray.get(r) for r in keys.materialize().to_arrow_refs()) if len(t)]
         if not tables:
             return {}, {}, []
         kdf = pa.concat_tables(tables).to_pandas()
@@ -688,7 +688,7 @@ def _collect_distinct_urls(pages: rd.Dataset | str) -> list[str] | None:
             pa.string())})
 
     out: set[str] = set()
-    for ref in pages.map_batches(norm, batch_format="pyarrow").to_arrow_refs():
+    for ref in pages.map_batches(norm, batch_format="pyarrow").materialize().to_arrow_refs():
         out.update(ray.get(ref).column("url").to_pylist())
     return sorted(out)
 
@@ -746,7 +746,7 @@ def build_dense_id_map(pages: rd.Dataset | str) -> tuple[rd.Dataset, int]:
         .count()
         .sort("url")
     )
-    refs = distinct.to_arrow_refs()
+    refs = distinct.materialize().to_arrow_refs()
     lens = ray.get([_block_nrows.remote(r) for r in refs])
     total = int(sum(lens))
     if total == 0:

@@ -10,7 +10,8 @@ segments:
 * term frequencies varbyte-encoded in the same order;
 * per 128-doc block: last docID, max tf, and byte offsets into both
   streams so a block can be decoded (or skipped) independently —
-  the block-max metadata consumed by WAND-style pruning.
+  the block-max metadata that the 128-bit path's pruned top-k
+  (:mod:`.wand`) reads.
 
 All encode/decode paths are numpy-vectorized (no per-int Python loop):
 encode computes per-value byte widths with 9 range compares and scatters
@@ -151,20 +152,6 @@ def decode_posting_list(row: dict) -> tuple[np.ndarray, np.ndarray]:
     return doc_ids, tfs
 
 
-def decode_block(row: dict, block: int, block_size: int = BLOCK_SIZE) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a single block independently (WAND skip path)."""
-    df = int(row["df"])
-    n_blocks = len(row["block_last_doc"])
-    if not 0 <= block < n_blocks:
-        raise IndexError(block)
-    count = min(block_size, df - block * block_size)
-    gaps = varbyte_decode(row["doc_gaps"], offset=int(row["block_gap_offset"][block]), count=count)
-    tfs = varbyte_decode(row["tf_bytes"], offset=int(row["block_tf_offset"][block]), count=count)
-    base = np.uint64(row["block_last_doc"][block - 1]) if block > 0 else np.uint64(0)
-    doc_ids = (base + np.cumsum(gaps, dtype=np.uint64)).astype(np.int64)
-    return doc_ids, tfs.astype(np.int64)
-
-
 def encode_posting_lists_bulk(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
@@ -298,23 +285,6 @@ def decode_partial_rows(
     adjust[nz] = adj_vals
     doc_ids = (csum - np.repeat(adjust, dfs.clip(min=0))).astype(np.int64)
     return doc_ids, tfs
-
-
-def merge_posting_payloads(payloads: list[dict], block_size: int = BLOCK_SIZE) -> dict:
-    """Merge salted partial posting lists for one (site, term).
-
-    Each docID appears in exactly one partial (salt = hash(docID) % S), so
-    the merge is decode → concat → re-encode; deterministic for any
-    arrival order of the partials.
-    """
-    docs_parts, tf_parts = [], []
-    for p in payloads:
-        d, t = decode_posting_list(p)
-        docs_parts.append(d)
-        tf_parts.append(t)
-    doc_ids = np.concatenate(docs_parts) if docs_parts else np.empty(0, np.int64)
-    tfs = np.concatenate(tf_parts) if tf_parts else np.empty(0, np.int64)
-    return encode_posting_list(doc_ids, tfs, block_size=block_size)
 
 
 # --------------------------------------------------------- 128-bit ids
@@ -546,17 +516,3 @@ def decode_block_128(
         bh = bl = 0
     hi, lo = _unwrap_gaps_128(gh, gl, bh, bl)
     return hi, lo, tfs.astype(np.int64)
-
-
-def merge_posting_payloads_128(payloads: list[dict], block_size: int = BLOCK_SIZE) -> dict:
-    """Deterministic merge of 128-bit payload rows for the same term
-    (segment-merge path): decode, concatenate, re-encode sorted."""
-    his, los, tfs = [], [], []
-    for p in payloads:
-        h, l, t = decode_posting_list_128(p)
-        his.append(h)
-        los.append(l)
-        tfs.append(t)
-    return encode_posting_list_128(
-        np.concatenate(his), np.concatenate(los), np.concatenate(tfs), block_size
-    )

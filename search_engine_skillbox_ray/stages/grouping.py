@@ -79,6 +79,7 @@ def drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset:
     ``build_dense_id_map``'s per-block counters)."""
     import ray
 
+    ds = ds.materialize()
     refs = ds.to_arrow_refs()
     if len(refs) <= 1:
         return ds

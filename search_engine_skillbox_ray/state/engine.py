@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from collections import OrderedDict
 from pathlib import Path
 
@@ -130,6 +131,9 @@ class SearchEngine:
         # rather than scaling with the corpus.
         self._rg_cache: OrderedDict[tuple[int, int], pa.Table] = OrderedDict()
         self._rg_cache_bytes = 0
+        # guards _rg_cache, _rg_cache_bytes and the lazy _rg_pool:
+        # concurrent search() on one engine is a supported use
+        self._rg_lock = threading.Lock()
         # per-file parquet FOOTER METADATA cache (immutable, thread-safe)
         # + miss-read thread pool for the locator hydration path (see
         # _hydrate_located)
@@ -220,8 +224,9 @@ class SearchEngine:
         self._doclen = None
         self._docs_dataset = None
         self._docs_locator = None
-        self._rg_cache.clear()
-        self._rg_cache_bytes = 0
+        with self._rg_lock:
+            self._rg_cache.clear()
+            self._rg_cache_bytes = 0
         self._pf_cache.clear()
         self._term_cache.clear()
         self._bucket_cache.clear()
@@ -353,47 +358,6 @@ class SearchEngine:
             lens = tbl["doc_len"].to_numpy(zero_copy_only=False).astype(np.float64)
             order = np.argsort(ids)
             self._doclen = (ids[order], lens[order])
-
-    def _dl_block_mins(self, block_lasts: np.ndarray) -> np.ndarray:
-        """Min doc_len per posting block, over the blocks' contiguous
-        docID ranges ((prev_last, last]; first block from 0) — the
-        tighter-than-dl→0 BM25 block bound. The range is a SUPERSET of
-        the block's own docs (other segments' or deleted docs in the
-        range only lower the min), so the bound stays admissible. Live
-        delta-overlay doc lens are folded in (an update can SHORTEN a
-        doc). Blocks with no known doc in range fall back to 0 — the
-        dl→0 bound."""
-        self._ensure_doclen()
-        ids, lens = self._doclen
-        nb = block_lasts.size
-        out = np.zeros(nb, np.float64)
-        have = np.zeros(nb, dtype=bool)
-        if ids.size and nb:
-            p = np.searchsorted(ids, block_lasts, side="right")
-            starts = np.concatenate(([0], p[:-1]))
-            valid = p > starts
-            if valid.any():
-                # blocks tile the docID axis: start_{i+1} == end_i, so one
-                # reduceat gives every per-range min; empty ranges produce
-                # a stray element value — masked out by ``valid``
-                safe = np.minimum(starts, max(0, int(p[-1]) - 1))
-                mins = np.minimum.reduceat(lens[: int(p[-1])], safe)
-                out[valid] = mins[valid]
-                have |= valid
-        if self._delta_docs and nb:
-            dids = np.fromiter(sorted(self._delta_docs), np.int64, len(self._delta_docs))
-            dlens = np.array(
-                [float(self._delta_docs[int(d)]["doc_len"]) for d in dids], np.float64
-            )
-            lo = np.concatenate(([np.int64(-1)], block_lasts[:-1]))
-            ds_ = np.searchsorted(dids, lo, side="right")
-            de_ = np.searchsorted(dids, block_lasts, side="right")
-            for i in np.flatnonzero(de_ > ds_):
-                dmin = float(dlens[ds_[i]: de_[i]].min())
-                out[i] = min(out[i], dmin) if have[i] else dmin
-                have[i] = True
-        out[~have] = 0.0
-        return out
 
     def _doc_len_lookup(self, doc_ids: np.ndarray) -> np.ndarray:
         """doc_len per docID for BM25 (sandbox: one in-memory sorted array;
@@ -925,15 +889,30 @@ class SearchEngine:
     def search_scores(
         self, query: str, site: str | None = None
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Full scored candidate list (pre-pagination): (doc_ids, scores
-        float32, lemmas). Empty arrays when nothing matches."""
+        """Full scored candidate list (pre-pagination): (doc_ids, scores,
+        lemmas), scores float32 under ``float32_scores`` (the reference's
+        per-page cast, :146) and float64 otherwise. Empty arrays when
+        nothing matches."""
+        return self._rank(query, site, np.float32 if self.float32_scores else np.float64)
+
+    def _rank(
+        self, query: str, site: str | None, dtype=np.float64
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The engine's one ranking core, shared by ``search_scores`` and
+        ``topk``: every doc matching the query (OR union, or the AND
+        intersection under ``mode="and"``) scored by the configured
+        scorer in float64, times the static prior, cast to ``dtype``,
+        then ordered (score desc, doc_id asc) — the documented tie
+        deviation. The order is taken AFTER the cast, so scores that
+        round to one float32 tie-break by doc_id."""
         lemmas = self._query_lemmas(query)
+        empty = np.empty(0, np.int64), np.empty(0, dtype), lemmas
         if not lemmas:
-            return np.empty(0, np.int64), np.empty(0, np.float32), lemmas
+            return empty
         site_id, known = self._resolve_site(site)
         n_total = self._total_pages(site_id, known)
         if n_total <= 0:
-            return np.empty(0, np.int64), np.empty(0, np.float32), lemmas
+            return empty
 
         per_term = [self.term_postings(t, site_id) for t in lemmas]
         dfs = {t: p[2] for t, p in zip(lemmas, per_term)}
@@ -943,7 +922,7 @@ class SearchEngine:
 
         non_empty = [(t, d, tf) for t, (d, tf, _) in zip(lemmas, per_term) if d.size]
         if not non_empty:
-            return np.empty(0, np.int64), np.empty(0, np.float32), lemmas
+            return empty
 
         if self.mode == "and":
             inter = non_empty[0][1]
@@ -952,7 +931,7 @@ class SearchEngine:
             for _, d, _ in non_empty[1:]:
                 inter = _intersect_sorted(inter, d)
             if inter.size == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float32), lemmas
+                return empty
             keep_docs = inter
         else:
             keep_docs = None
@@ -994,10 +973,9 @@ class SearchEngine:
             # SUM(...) * prior reproduces the identical float64 value
             scores = scores * self._prior_lookup(uniq)
 
-        out_scores = scores.astype(np.float32) if self.float32_scores else scores  # float cast, :146
-        # deterministic (score desc, doc_id asc) — documented tie deviation
-        order = np.lexsort((uniq, -out_scores))
-        return uniq[order], out_scores[order], lemmas
+        scores = scores.astype(dtype, copy=False)  # float cast, :146
+        order = np.lexsort((uniq, -scores))
+        return uniq[order], scores[order], lemmas
 
     def ltr_features(self, query: str, site: str | None = None) -> "pa.Table":
         """Learning-to-rank feature export: one row per candidate doc
@@ -1142,146 +1120,19 @@ class SearchEngine:
         order = np.lexsort((uniq, -np.round(scores, 6)))[:k]
         return uniq[order], scores[order]
 
-    def more_like_this_topk(
-        self, seed_doc_id: int, k: int = 10
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pruned (block-max MaxScore) related-document retrieval —
-        the same doc ranking as exhaustive :meth:`more_like_this`
-        (tested) without touching every posting: each seed term becomes
-        a cursor whose per-posting weight is ((tf_seed·idf)·tf)·idf,
-        the exhaustive path's left-associative product. Per-doc sums
-        accumulate in cursor (max-weight) order rather than seed-term
-        order, so scores agree to float64 summation-order noise
-        (≤ ~1e-12 relative), not bit-for-bit. The seed doc itself is
-        pruned from a k+1 frontier after retrieval (it always scores
-        near the top — it contains all its own terms)."""
-        from ..stages.wand import topk_disjunctive_maxscore
-
-        row = self._hydrate(np.asarray([seed_doc_id], dtype=np.int64)).get(
-            int(seed_doc_id)
-        )
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if row is None:
-            return empty
-        from ..functions.tokenize import tokenize
-
-        seed_tf: dict[str, int] = {}
-        for t in tokenize(row["text"]):
-            seed_tf[t] = seed_tf.get(t, 0) + 1
-        if not seed_tf:
-            return empty
-        site_id, known = self._resolve_site(None)
-        n_total = self._total_pages(site_id, known)
-        term_rows = []
-        for t, stf in seed_tf.items():
-            payload = self._merged_payload(t, site_id)
-            if payload is None:
-                continue
-            idf = math.log((n_total + 1) / (int(payload["df"]) + 1))
-            # pack (w_seed, idf) as the cursor constant; weight unpacks
-            term_rows.append((payload, (float(stf) * idf, idf)))
-        if not term_rows:
-            return empty
-
-        def weight(tfs: np.ndarray, c, doc_ids=None) -> np.ndarray:
-            w_seed, idf = c
-            return (w_seed * tfs.astype(np.float64)) * idf
-
-        d, s = topk_disjunctive_maxscore(term_rows, k + 1, weight)
-        mask = d != seed_doc_id
-        d, s = d[mask], s[mask]
-        # same rounded-score rank rule as the exhaustive path
-        order = np.lexsort((d, -np.round(s, 6)))[:k]
-        return d[order], s[order]
-
-    def _merged_payload(self, term: str, site_id: int | None) -> dict | None:
-        """Raw (possibly cross-site merged) segment payload for WAND.
-
-        When the update log is non-empty (tombstones / delta postings
-        from single-page re-index), the payload is re-encoded from the
-        overlaid ``term_postings`` arrays so the pruned path serves the
-        same live posting set as exhaustive ``search_scores`` — base
-        segments alone would resurrect deleted docs and miss deltas."""
-        if self._tombstones.size or self._delta_terms:
-            from ..stages.codec import encode_posting_list
-
-            d, tf, df = self.term_postings(term, site_id)
-            if df == 0:
-                return None
-            return encode_posting_list(d, tf)
-        self._load_terms([term])
-        rows = self._term_cache.get(term, [])
-        if site_id is not None:
-            rows = [r for r in rows if int(r["site_id"]) == site_id]
-        if not rows:
-            return None
-        if len(rows) == 1:
-            return rows[0]
-        from ..stages.codec import merge_posting_payloads
-
-        return merge_posting_payloads(rows)
-
     def topk(
-        self, query: str, k: int = 10, site: str | None = None, mode: str | None = None
+        self, query: str, k: int = 10, site: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pruned top-k retrieval (block-max MaxScore for OR, block-max
-        WAND for AND) — the latency path the north-star names. Returns
-        (doc_ids, float64 scores), identical to exhaustive top-k with
-        the TF-IDF scorer (tested); the parity ``search()`` API keeps
-        full scoring because the reference reports the TOTAL match
-        count, which pruning by design does not compute. BM25 is served
-        pruned too, using the dl→0 block upper bound (valid for every
-        document length; exact per-doc lengths re-score survivors)."""
-        from ..stages.wand import topk_conjunctive_bmw, topk_disjunctive_maxscore
-
-        mode = mode or self.mode
-        lemmas = self._query_lemmas(query)
-        if not lemmas:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        site_id, known = self._resolve_site(site)
-        n_total = self._total_pages(site_id, known)
-        if n_total <= 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        term_rows = []
-        for t in lemmas:
-            payload = self._merged_payload(t, site_id)
-            if payload is None:
-                payload = {"df": 0, "block_last_doc": [], "block_max_tf": [],
-                           "block_gap_offset": [], "block_tf_offset": [],
-                           "doc_gaps": b"", "tf_bytes": b""}
-            idf = math.log((n_total + 1) / (int(payload["df"]) + 1))
-            term_rows.append((payload, idf))
-
-        if self.scorer == "bm25":
-            k1, b = self.k1, self.b
-            avgdl = max(1.0, self.stats["sum_doc_len"] / max(1, self.stats["n_docs_indexed"]))
-
-            def weight(tfs: np.ndarray, idf: float, doc_ids=None) -> np.ndarray:
-                tf = tfs.astype(np.float64)
-                dl = self._doc_len_lookup(np.asarray(doc_ids, np.int64)) if doc_ids is not None else 0.0
-                return idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-
-            def bound(tfs: np.ndarray, idf: float, block_lasts=None) -> np.ndarray:
-                # per-block min doc_len over the block's docID range —
-                # tighter than the dl→0 limit yet admissible (see
-                # _dl_block_mins); dl→0 when no range is given
-                tf = tfs.astype(np.float64)
-                if block_lasts is None:
-                    dlm = 0.0
-                else:
-                    dlm = self._dl_block_mins(np.asarray(block_lasts, np.int64))
-                return idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dlm / avgdl))
-
-        else:
-
-            def weight(tfs: np.ndarray, idf: float, doc_ids=None) -> np.ndarray:
-                return tfs.astype(np.float64) * idf
-
-            bound = None
-
-        if mode == "and":
-            return topk_conjunctive_bmw(term_rows, k, weight, bound)
-        return topk_disjunctive_maxscore(term_rows, k, weight, bound)
+        """Top-k retrieval: the first ``k`` of the engine's float64
+        ranking — what ``search_scores`` returns under
+        ``float32_scores=False``: same scorer, mode, site scope, prior
+        and (score desc, doc_id asc) order — as (doc_ids, float64
+        scores), with no hydration or decoration. Every match is scored: on every index measured,
+        vectorized exhaustive scoring beat block-max MaxScore/WAND
+        pruning, whose per-candidate Python cost exceeded what its
+        block skips saved (NOTES.md)."""
+        d, s, _ = self._rank(query, site)
+        return d[:k], s[:k]
 
     # ---------------- public API --------------------------------------
     def search(
@@ -1516,13 +1367,14 @@ class SearchEngine:
         cols = ["doc_id", "site_id", "path", "text"]
         hit: dict[tuple[int, int], pa.Table] = {}
         missed: list[tuple[int, int]] = []
-        for key in by_group:
-            tbl = self._rg_cache.get(key)
-            if tbl is not None:
-                self._rg_cache.move_to_end(key)
-                hit[key] = tbl
-            else:
-                missed.append(key)
+        with self._rg_lock:
+            for key in by_group:
+                tbl = self._rg_cache.get(key)
+                if tbl is not None:
+                    self._rg_cache.move_to_end(key)
+                    hit[key] = tbl
+                else:
+                    missed.append(key)
         if missed:
             # cold groups decode concurrently (Arrow releases the GIL in
             # the parquet reader, so a p95-tail query touching ~10 cold
@@ -1550,23 +1402,30 @@ class SearchEngine:
             if len(by_file) > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
-                if self._rg_pool is None:
-                    self._rg_pool = ThreadPoolExecutor(max_workers=8)
+                with self._rg_lock:
+                    if self._rg_pool is None:
+                        self._rg_pool = ThreadPoolExecutor(max_workers=8)
                 read_results = [
                     kv for part in self._rg_pool.map(_read_file, by_file.items())
                     for kv in part
                 ]
             else:
                 read_results = _read_file(next(iter(by_file.items())))
-            for key, tbl in read_results:
-                hit[key] = tbl
-                nb = tbl.nbytes
-                if nb <= self.rg_cache_max_bytes:
-                    self._rg_cache[key] = tbl
-                    self._rg_cache_bytes += nb
-                    while self._rg_cache_bytes > self.rg_cache_max_bytes and self._rg_cache:
-                        _, old = self._rg_cache.popitem(last=False)
+            with self._rg_lock:
+                for key, tbl in read_results:
+                    hit[key] = tbl
+                    nb = tbl.nbytes
+                    # two threads can miss the same group; replace the
+                    # older copy's bytes instead of counting both
+                    old = self._rg_cache.pop(key, None)
+                    if old is not None:
                         self._rg_cache_bytes -= old.nbytes
+                    if nb <= self.rg_cache_max_bytes:
+                        self._rg_cache[key] = tbl
+                        self._rg_cache_bytes += nb
+                        while self._rg_cache_bytes > self.rg_cache_max_bytes and self._rg_cache:
+                            _, old = self._rg_cache.popitem(last=False)
+                            self._rg_cache_bytes -= old.nbytes
         for key, rows in by_group.items():
             taken = hit[key].take(pa.array([r for r, _ in rows], pa.int64()))
             for r in taken.to_pylist():

@@ -2,17 +2,17 @@
 (SURVEY §5.3-§5.4), property-based via hypothesis."""
 
 import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from search_engine_skillbox_ray.stages.codec import (
-    decode_block,
     decode_posting_list,
     encode_posting_list,
-    merge_posting_payloads,
     varbyte_decode,
     varbyte_encode,
 )
+from search_engine_skillbox_ray.stages.postings import SEGMENT_SCHEMA, merge_segment_rows
 
 doc_sets = st.lists(
     st.integers(min_value=0, max_value=2**40), min_size=1, max_size=2000, unique=True
@@ -52,31 +52,38 @@ def test_posting_roundtrip_and_blocks(vals, seed):
         s, e = b * 128, min(len(docs), (b + 1) * 128)
         assert row["block_last_doc"][b] == sorted_docs[e - 1]
         assert row["block_max_tf"][b] == sorted_tfs[s:e].max()
-        db, tb = decode_block(row, b)
-        assert np.array_equal(db, sorted_docs[s:e])
-        assert np.array_equal(tb, sorted_tfs[s:e])
 
 
 @given(doc_sets, st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=99))
 @settings(max_examples=40, deadline=None)
 def test_merge_determinism_any_partition_order(vals, n_salts, seed):
-    """Same docs split by any salt scheme, merged in any order → identical
-    segment bytes (SURVEY §5.4)."""
+    """Same docs split by any salt scheme, merged in any order by the
+    build's bucket merge (``merge_segment_rows``) → identical segment
+    bytes (SURVEY §5.4). Two (term, site) runs share the partial table,
+    as in a real bucket."""
     rng = np.random.default_rng(seed)
     docs = np.array(vals, dtype=np.int64)
-    tfs = rng.integers(1, 1000, size=len(docs))
-    reference = encode_posting_list(docs, tfs)
+    runs = {("alpha", 0): rng.integers(1, 1000, size=len(docs)),
+            ("beta", 1): rng.integers(1, 1000, size=len(docs))}
 
-    salts = rng.integers(0, n_salts, size=len(docs))
-    parts = [
-        encode_posting_list(docs[salts == s], tfs[salts == s])
-        for s in range(n_salts)
-        if (salts == s).any()
-    ]
-    rng.shuffle(parts)
-    merged = merge_posting_payloads(parts)
-    for key in ("df", "cf", "doc_gaps", "tf_bytes", "block_last_doc", "block_max_tf"):
-        assert merged[key] == reference[key], key
+    partials = []
+    for (term, site_id), tfs in runs.items():
+        salts = rng.integers(0, n_salts, size=len(docs))
+        for s in range(n_salts):
+            if (salts == s).any():
+                p = encode_posting_list(docs[salts == s], tfs[salts == s])
+                partials.append(dict(p, bucket=3, site_id=site_id, term=term, salt=s))
+    rng.shuffle(partials)
+    group = pa.Table.from_pylist(partials, schema=SEGMENT_SCHEMA)
+    merged = merge_segment_rows(group).to_pylist()
+
+    assert [(r["term"], r["site_id"]) for r in merged] == list(runs)
+    for r, tfs in zip(merged, runs.values()):
+        reference = encode_posting_list(docs, tfs)
+        assert r["bucket"] == 3 and r["salt"] == -1
+        for key in ("df", "cf", "doc_gaps", "tf_bytes", "block_last_doc",
+                    "block_max_tf", "block_gap_offset", "block_tf_offset"):
+            assert r[key] == reference[key], key
 
 
 def test_duplicate_docid_rejected():

@@ -15,7 +15,6 @@ from search_engine_skillbox_ray.stages.codec import (
     decode_block_128,
     decode_posting_list_128,
     encode_posting_list_128,
-    merge_posting_payloads_128,
     varbyte_decode_128,
     varbyte_encode_128,
 )
@@ -90,7 +89,12 @@ def test_posting_list_128_duplicate_raises():
         encode_posting_list_128(hi, lo, np.array([1, 2]))
 
 
-def test_merge_128_deterministic():
+def test_merge_128_deterministic(tmp_path):
+    """The 128-bit index's per-term merge of the base bucket file and
+    its LSM delta segment (``index128._load_term_row_128``) re-encodes
+    exactly the one-shot payload, whichever half is the base."""
+    from search_engine_skillbox_ray.pipelines.index128 import _load_term_row_128
+
     rng = np.random.default_rng(9)
     vals = sorted({int(x) << 40 for x in rng.integers(0, 1 << 62, 400)})
     hi = np.array([v >> 64 for v in vals], np.uint64)
@@ -99,9 +103,15 @@ def test_merge_128_deterministic():
     whole = encode_posting_list_128(hi, lo, tfs)
     a = encode_posting_list_128(hi[::2], lo[::2], tfs[::2])
     b = encode_posting_list_128(hi[1::2], lo[1::2], tfs[1::2])
-    merged = merge_posting_payloads_128([a, b])
-    assert merged == whole
-    assert merge_posting_payloads_128([b, a]) == whole  # order-independent
+    for name, (base, delta) in (("ab", (a, b)), ("ba", (b, a))):  # order-independent
+        out = tmp_path / name
+        out.mkdir()
+        for fname, payload in (("bucket=00000.parquet", base),
+                               ("bucket=00000.delta-0001.parquet", delta)):
+            row = posting_row_128_to_storage(payload)
+            row["term"] = "t"
+            pq.write_table(pa.Table.from_pylist([row], schema=SEGMENT_SCHEMA_128), out / fname)
+        assert _load_term_row_128(out, 0, "t") == whole, name
 
 
 def test_assign_doc_ids_128_is_md5():

@@ -92,17 +92,17 @@ def test_topk128_matches_exhaustive(built128, mode):
 
 def test_topk128_prunes_blocks(built128):
     from search_engine_skillbox_ray.pipelines.index128 import topk_128
-    from search_engine_skillbox_ray.stages import wand128
+    from search_engine_skillbox_ray.stages import wand
 
     d, _, _ = built128
-    wand128.BLOCKS_DECODED = 0
+    wand.BLOCKS_DECODED = 0
     topk_128(str(d), "merge batch fast", k=3, mode="or")
-    pruned = wand128.BLOCKS_DECODED
+    pruned = wand.BLOCKS_DECODED
     assert pruned > 0
     # k=3 must not decode more blocks than an exhaustive k=10^6 pass
-    wand128.BLOCKS_DECODED = 0
+    wand.BLOCKS_DECODED = 0
     topk_128(str(d), "merge batch fast", k=10**6, mode="or")
-    assert pruned <= wand128.BLOCKS_DECODED
+    assert pruned <= wand.BLOCKS_DECODED
 
 
 def test_topk128_empty_and_absent_queries(built128):

@@ -202,8 +202,9 @@ def test_compact_preserves_delta_only_buckets(ray_session, tmp_path):
 
 
 def test_topk_sees_tombstones_and_deltas(built):
-    """Pruned topk() must not serve deleted docs nor miss delta postings
-    (regression: _merged_payload read base segments only)."""
+    """topk() must not serve deleted docs nor miss delta postings, and
+    stays the first k of the float64 search ranking, for every scorer,
+    after upserts and after compact()."""
     idx, sites = built
     upd = IndexUpdater(idx)
     url = f"{sites[0]['url']}/prune/check"
@@ -218,6 +219,27 @@ def test_topk_sees_tombstones_and_deltas(built):
     assert d2.size == 0, "topk served a deleted doc"
     d3, _ = eng.topk("gammaprune", k=5)
     assert d3.size == 1
+
+    # upsert a BASE page too: its base postings are tombstoned
+    row = eng.hydrate_docs([0])[0]
+    base_url = eng.sites[int(row["site_id"])]["url"] + row["path"]
+    words = row["text"].split()[:3]
+    upd.index_page(base_url, text=f"gammaprune {words[0]} tail")
+    assert 0 in ses.SearchEngine(idx)._tombstones
+    queries = ["gammaprune", " ".join(words), f"gammaprune {words[1]}"]
+
+    def assert_topk_is_ranking_prefix():
+        for scorer in ("tfidf", "bm25", "sumtf"):
+            e = ses.SearchEngine(idx, scorer=scorer, float32_scores=False)
+            for q in queries:
+                d, s, _ = e.search_scores(q)
+                td, ts = e.topk(q, k=5)
+                assert td.tolist() == d[:5].tolist(), (scorer, q)
+                assert ts.tolist() == s[:5].tolist(), (scorer, q)
+
+    assert_topk_is_ranking_prefix()
+    assert upd.compact()["result"]
+    assert_topk_is_ranking_prefix()
 
 
 def test_statistics_overlay_pending_updates(built):

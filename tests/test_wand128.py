@@ -1,4 +1,4 @@
-"""128-bit docID top-k (stages/wand128): exact equivalence vs
+"""128-bit docID top-k (stages/wand): exact equivalence vs
 exhaustive decode+score over the hash-id scale path's segments,
 including the Parquet storage round-trip and the decode-free
 conjunctive block skip."""
@@ -17,7 +17,7 @@ from search_engine_skillbox_ray.stages.postings import (
     posting_row_128_from_storage,
     posting_row_128_to_storage,
 )
-from search_engine_skillbox_ray.stages.wand128 import (
+from search_engine_skillbox_ray.stages.wand import (
     topk_conjunctive_bmw_128,
     topk_disjunctive_maxscore_128,
 )
@@ -107,7 +107,7 @@ def test_128_storage_round_trip_then_query():
 
 def test_bmw_128_precheck_skips_decodes():
     """The decode-free conjunctive pre-check works in 128-bit space."""
-    import search_engine_skillbox_ray.stages.wand128 as w128
+    import search_engine_skillbox_ray.stages.wand as w128
 
     n = 4096  # 32 blocks of 128 per list
     urls = [f"https://s.example/p/{i}" for i in range(n)]
