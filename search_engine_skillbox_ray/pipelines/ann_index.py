@@ -25,8 +25,6 @@ operators' (same candidate rule) and is tested against brute force.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -38,99 +36,30 @@ import ray.data as rd
 
 from ..functions.vectors import embedding_vectors
 from ..state.manifest import atomic_write_json, fingerprint_inputs, read_json
+from ..state.segments import SegmentStore
 from .ann import _kmeans_lite, _plane_signatures, deterministic_train_vectors
 
 
-def _clear_stale_partitions(index_dir: Path, key_col: str) -> None:
-    """A rebuild (fingerprint mismatch) rewrites every live partition,
-    but a partition whose key gets NO vectors under the new parameters
-    would otherwise linger from the old layout and pollute probes.
-    Tombstones and delete markers refer to the OLD corpus — a rebuild
-    drops them too (same invalidation rule as the positional index)."""
-    for f in index_dir.glob(f"{key_col}=*.parquet"):
-        f.unlink()
-    for f in index_dir.glob(f"{key_col}=*.parquet.tmp"):
-        f.unlink()
-    for f in index_dir.glob("ann_tombstone-*.parquet"):
-        f.unlink()
-    for f in index_dir.glob("ann_delete.*.json"):
-        f.unlink()
-    for f in index_dir.glob("ann_append.*.json"):
-        f.unlink()
+def _store(index_dir: str | Path) -> SegmentStore:
+    return SegmentStore(
+        Path(index_dir), bases=("bucket=*", "list=*"), id_cols=("vec_id",), prefix="ann_"
+    )
 
 
-def _ann_delta_seq(f: Path) -> int:
-    return int(f.name.rsplit("delta-", 1)[1].split(".")[0])
-
-
-def _ann_base_seq(f: Path) -> int:
-    """LSM seq a base partition is current through: −1 for a fresh
-    build, else the max folded seq recorded (atomically, inside the
-    parquet file) by compaction — the posindex discipline."""
-    meta = pq.read_schema(f).metadata or {}
-    return int(meta.get(b"base_seq", b"-1"))
-
-
-def _ann_next_seq(out: Path) -> int:
-    seqs = [
-        int(f.name.split("-", 1)[1].split(".")[0])
-        for f in out.glob("ann_tombstone-*.parquet")
-    ] + [_ann_delta_seq(f) for f in out.glob("*=*.delta-*.parquet")]
-    return max(seqs) + 1 if seqs else 0
-
-
-def _ann_tombstones(out: Path) -> list[tuple[int, np.ndarray]]:
-    tombs = []
-    for f in sorted(out.glob("ann_tombstone-*.parquet")):
-        seq = int(f.name.split("-", 1)[1].split(".")[0])
-        ids = pq.read_table(f, columns=["vec_id"]).column("vec_id").to_numpy()
-        tombs.append((seq, np.unique(ids.astype(np.int64))))
-    return tombs
-
-
-def _ann_dead_union(tombs, seg_seq: int):
-    """Tombstoned ids that apply to a segment written at ``seg_seq`` —
-    only deletes issued AFTER it kill its rows, so delete→re-append
-    keeps the re-added vector."""
-    rel = [a for s, a in (tombs or []) if s > seg_seq]
-    if not rel:
-        return None
-    return rel[0] if len(rel) == 1 else np.unique(np.concatenate(rel))
+def _merge_partition(store: SegmentStore, segs, tombs) -> pa.Table | None:
+    """THE ANN merge, shared by probes and compaction: one partition's
+    base + delta rows, minus the vectors a later tombstone kills, one row
+    per vec_id."""
+    return store.merge([(pq.read_table(f), seq) for f, seq in segs], ("vec_id",), tombs)
 
 
 def delete_vectors(index_dir: str | Path, vec_ids, input_token: str | None = None) -> dict:
-    """Tombstone-delete vectors from a persisted ANN index: one kill-set
-    parquet (atomic tmp+rename) sharing the LSM seq counter with append
-    deltas, so a delete→re-append keeps the re-added vector. Probes
-    filter per SEGMENT seq at read time; ``compact_ann_index`` folds
-    the kill set. Same-token re-deletes are skipped (marker file)."""
-    import hashlib as _hl
-
-    out = Path(index_dir)
-    if input_token is not None:
-        marker = out / f"ann_delete.{_hl.md5(input_token.encode()).hexdigest()[:10]}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    ids = np.unique(np.asarray(list(vec_ids), dtype=np.int64))
-    seq = _ann_next_seq(out)
-    tmp = out / f"ann_tombstone-{seq:04d}.parquet.tmp"
-    pq.write_table(pa.table({"vec_id": pa.array(ids, pa.int64())}), tmp)
-    os.replace(tmp, out / f"ann_tombstone-{seq:04d}.parquet")
-    res = {"seq": seq, "n_tombstoned": int(len(ids))}
-    if input_token is not None:
-        mt = Path(str(marker) + ".tmp")
-        mt.write_text(json.dumps(res))
-        os.replace(mt, marker)
-    return res
-
-
-def _dead_vec_ids(index_dir: Path) -> np.ndarray:
-    """Flat union of all live tombstoned ids (introspection; the read
-    path filters per segment seq via ``_ann_dead_union``)."""
-    tombs = _ann_tombstones(index_dir)
-    if not tombs:
-        return np.empty(0, np.int64)
-    return np.unique(np.concatenate([a for _, a in tombs]))
+    """Tombstone-delete vectors from a persisted ANN index: one kill set
+    on the shared LSM seq counter, so a delete→re-append keeps the
+    re-added vector. Probes filter per SEGMENT seq at read time;
+    ``compact_ann_index`` folds the kill set. Same-token re-deletes are
+    skipped."""
+    return _store(index_dir).delete(vec_ids, input_token)
 
 
 def append_vectors(
@@ -144,23 +73,22 @@ def append_vectors(
     """LSM-style micro-batch vector ingest: key the NEW vectors with the
     index's FROZEN quantizer (the seeded hyperplanes for LSH, the
     persisted centroids for IVF — standard frozen-codebook streaming
-    insert) and write one DELTA file per touched partition
-    (``key=NNNNN.delta-SSSS.parquet``, atomic tmp+rename). vec_ids must
-    be new — the caller's versioning contract, as everywhere in this
-    repo's LSM paths. Probes merge base + deltas per partition;
-    ``compact_ann_index`` folds them. Same-token re-appends are
-    skipped (marker)."""
-    import hashlib as _hl
-
+    insert) and write one delta file per touched partition. vec_ids
+    must be new — the caller's versioning contract, as
+    everywhere in this repo's LSM paths. Probes merge base + deltas per
+    partition; ``compact_ann_index`` folds them. Same-token re-appends
+    are skipped."""
     out = Path(index_dir)
     mf = read_json(out / "ann_manifest.json")
     if not mf:
         raise FileNotFoundError(f"no ann_manifest.json under {index_dir}")
-    if input_token is not None:
-        marker = out / f"ann_append.{_hl.md5(input_token.encode()).hexdigest()[:10]}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    seq = _ann_next_seq(out)
+    store = _store(out)
+    return store.once("append", input_token, lambda: _append(store, mf, embeddings, id_col, vec_col))
+
+
+def _append(store: SegmentStore, mf: dict, embeddings: rd.Dataset, id_col: str, vec_col: str) -> dict:
+    out = store.root
+    seq = store.next_seq()
     kind = mf["kind"]
     key_col = "bucket" if kind == "lsh" else "list"
     dim = int(mf["dim"])
@@ -189,124 +117,35 @@ def append_vectors(
             }
         )
 
-    def write_delta(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame({key_col: np.array([], np.int64), "n": np.array([], np.int64)})
-        key = int(group[key_col].iloc[0])
-        tbl = pa.Table.from_pandas(
-            group.sort_values("vec_id").reset_index(drop=True), preserve_index=False
-        )
-        final = out / f"{key_col}={key:05d}.delta-{seq:04d}.parquet"
-        tmp = Path(str(final) + ".tmp")
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, final)
-        return pd.DataFrame({key_col: [key], "n": [len(group)]})
-
     res_df = (
         embeddings.map_batches(tag, batch_format="pyarrow")
         .groupby(key_col)
-        .map_groups(write_delta, batch_format="pandas")
+        .map_groups(_partition_writer(store, key_col, seq), batch_format="pandas")
         .to_pandas()
     )
-    res = {
+    return {
         "seq": seq,
         "n_partitions_touched": int(len(res_df)),
         "n_vectors": int(res_df["n"].sum()) if len(res_df) else 0,
     }
-    if input_token is not None:
-        mt = Path(str(marker) + ".tmp")
-        mt.write_text(json.dumps(res))
-        os.replace(mt, marker)
-    return res
 
 
 def compact_ann_index(index_dir: str | Path) -> dict:
     """Fold every delta file and live tombstone into its base partition
-    (one Ray task per partition — independent bucket/list shards), then
-    drop deltas and tombstones. Probe results identical before and
-    after (tested); crash-safe via tmp+rename with the fold seq
-    recorded INSIDE each base file (a crash between renames and
-    tombstone unlink must not re-kill vectors re-appended after the
-    tombstone — the posindex discipline)."""
-    import ray
-
-    out = Path(index_dir)
-    tombs = _ann_tombstones(out)
-    mf = read_json(out / "ann_manifest.json")
-    key_col = "bucket" if mf.get("kind") == "lsh" else "list"
-    deltas = list(out.glob(f"{key_col}=*.delta-*.parquet"))
-    touched = {f.name.split(".")[0] for f in deltas}
-    if tombs:
-        touched |= {
-            f.name.split(".")[0]
-            for f in out.glob(f"{key_col}=*.parquet")
-            if "delta-" not in f.name
-        }
-    touched = sorted(touched)
-    if not touched:
+    (one Ray task per partition — independent bucket/list shards;
+    ``state/segments.py`` owns the lifecycle). Probe results are
+    identical before and after (tested); a re-run after an interruption
+    converges."""
+    store = _store(index_dir)
+    counts = store.compact(lambda key, segs, tombs: _merge_partition(store, segs, tombs))
+    if not counts:
         return {"n_partitions_compacted": 0}
-    all_seqs = [_ann_delta_seq(f) for f in deltas] + [s for s, _ in tombs]
-    fold_seq = max(all_seqs) if all_seqs else None
-
-    @ray.remote
-    def fold(prefix: str) -> int:
-        base = out / f"{prefix}.parquet"
-        segs: list[tuple[pa.Table, int]] = []
-        if base.exists():
-            segs.append((pq.read_table(base), _ann_base_seq(base)))
-        for f in sorted(out.glob(f"{prefix}.delta-*.parquet")):
-            segs.append((pq.read_table(f), _ann_delta_seq(f)))
-        kept = []
-        for tbl, seg_seq in segs:
-            dead = _ann_dead_union(tombs, seg_seq)
-            if dead is not None and len(tbl):
-                ids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
-                keep = ~np.isin(ids, dead)
-                if not keep.all():
-                    tbl = tbl.filter(pa.array(keep))
-            if len(tbl):
-                kept.append(tbl)
-        merged = pa.concat_tables(kept) if kept else None
-        if merged is not None and len(merged):
-            ids = merged.column("vec_id").to_numpy(zero_copy_only=False)
-            # duplicates only from a compaction interrupted between base
-            # rename and delta unlink — keep the first (base) copy
-            order = np.argsort(ids, kind="stable")
-            sids = ids[order]
-            keep = np.empty(len(sids), dtype=bool)
-            keep[0] = True
-            np.not_equal(sids[1:], sids[:-1], out=keep[1:])
-            merged = merged.take(pa.array(order[keep]))
-        else:
-            merged = None
-        if merged is None:
-            merged = pa.table(
-                {
-                    key_col: pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "embedding": pa.array([], pa.list_(pa.float32())),
-                    "norm": pa.array([], pa.float64()),
-                }
-            )
-        if fold_seq is not None:
-            merged = merged.replace_schema_metadata(
-                {b"base_seq": str(fold_seq).encode()}
-            )
-        tmp = Path(str(base) + ".tmp")
-        pq.write_table(merged, tmp)
-        os.replace(tmp, base)
-        for f in sorted(out.glob(f"{prefix}.delta-*.parquet")):
-            f.unlink()
-        return len(merged)
-
-    counts = ray.get([fold.remote(p) for p in touched])
-    for f in out.glob("ann_tombstone-*.parquet"):
-        f.unlink()
-    return {"n_partitions_compacted": len(touched), "n_rows": int(sum(counts))}
+    return {"n_partitions_compacted": len(counts), "n_rows": int(sum(counts.values()))}
 
 
-def _partition_writer(index_dir: Path, key_col: str):
-    """map_groups body: write one partition file per key, atomically."""
+def _partition_writer(store: SegmentStore, key_col: str, seq: int | None = None):
+    """map_groups body: write one partition file per key — its base
+    (``seq`` None) or its delta at ``seq``."""
 
     def write_group(group: pd.DataFrame) -> pd.DataFrame:
         if not len(group):
@@ -315,10 +154,7 @@ def _partition_writer(index_dir: Path, key_col: str):
         tbl = pa.Table.from_pandas(
             group.sort_values("vec_id").reset_index(drop=True), preserve_index=False
         )
-        final = index_dir / f"{key_col}={key:05d}.parquet"
-        tmp = index_dir / f"{key_col}={key:05d}.parquet.tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, final)
+        store.write(f"{key_col}={key:05d}", tbl, seq)
         return pd.DataFrame({key_col: [key], "n": [len(group)]})
 
     return write_group
@@ -340,12 +176,15 @@ def build_lsh_index(
     stats invalidate it when the source data changes)."""
     index_dir = Path(index_dir)
     index_dir.mkdir(parents=True, exist_ok=True)
-    params = {"kind": "lsh", "n_planes": n_planes, "seed": seed, "input": input_token}
+    # layout 2: the shared segment store's seq counter and stamp
+    params = {"kind": "lsh", "n_planes": n_planes, "seed": seed, "input": input_token,
+              "layout": 2}
     fp = fingerprint_inputs(input_files or [], params)
     mf = read_json(index_dir / "ann_manifest.json")
     if mf and mf.get("fingerprint") == fp:
         return mf
-    _clear_stale_partitions(index_dir, "bucket")
+    store = _store(index_dir)
+    store.reset()
 
     def tag(batch: pa.Table) -> pa.Table:
         vecs = embedding_vectors(batch.column(vec_col))
@@ -366,7 +205,7 @@ def build_lsh_index(
     tagged = embeddings.map_batches(tag, batch_format="pyarrow")
     res = (
         tagged.groupby("bucket")
-        .map_groups(_partition_writer(index_dir, "bucket"), batch_format="pandas")
+        .map_groups(_partition_writer(store, "bucket"), batch_format="pandas")
         .to_pandas()
     )
     # dim from any partition file (one-row read)
@@ -407,12 +246,14 @@ def build_ivf_index(
         # independent; a limit().take_all() sample was only as reproducible
         # as Ray's scheduling)
         "train_order": "min_vec_id",
+        "layout": 2,  # the shared segment store's seq counter and stamp
     }
     fp = fingerprint_inputs(input_files or [], params)
     mf = read_json(index_dir / "ann_manifest.json")
     if mf and mf.get("fingerprint") == fp:
         return mf
-    _clear_stale_partitions(index_dir, "list")
+    store = _store(index_dir)
+    store.reset()
 
     sample = deterministic_train_vectors(
         embeddings, train_sample, id_col=id_col, vec_col=vec_col
@@ -437,7 +278,7 @@ def build_ivf_index(
     tagged = embeddings.map_batches(tag, batch_format="pyarrow")
     res = (
         tagged.groupby("list")
-        .map_groups(_partition_writer(index_dir, "list"), batch_format="pandas")
+        .map_groups(_partition_writer(store, "list"), batch_format="pandas")
         .to_pandas()
     )
     manifest = {
@@ -468,10 +309,9 @@ class AnnIndex:
             self.planes = rng.standard_normal((self.dim, int(self.manifest["n_planes"])))
         else:
             self.cents = np.load(self.index_dir / "centroids.npy")
-        # LSM state: seq-ordered tombstones (filtered per segment at
-        # every probe read) until compact_ann_index folds them
-        self.tombs = _ann_tombstones(self.index_dir)
-        self.dead = _dead_vec_ids(self.index_dir)
+        self.store = _store(self.index_dir)
+        # every tombstoned vec_id (introspection; probes filter per seq)
+        self.dead = self.store.dead()
         self.last_files_read: list[str] = []
 
     # -- probe-set construction (mirrors ann.lsh_topk exactly) ---------
@@ -493,44 +333,18 @@ class AnnIndex:
         return probe_sets
 
     def _read_partitions(self, key_col: str, keys: list[int]) -> pa.Table | None:
-        """Base + LSM delta files per probed key, each filtered by the
-        tombstones that postdate it (a tombstone kills only rows written
-        before it, so delete→re-append keeps the re-added vector)."""
+        """The merged rows of every probed partition (base + deltas,
+        tombstones applied per segment seq)."""
+        tombs = self.store.tombstones()
         tables = []
         self.last_files_read = []
         for key in sorted(keys):
-            base = self.index_dir / f"{key_col}={key:05d}.parquet"
-            segs: list[tuple[Path, int]] = []
-            if base.exists():
-                segs.append((base, _ann_base_seq(base)))
-            for f in sorted(self.index_dir.glob(f"{key_col}={key:05d}.delta-*.parquet")):
-                segs.append((f, _ann_delta_seq(f)))
-            for f, seg_seq in segs:
-                tbl = pq.read_table(f)
-                self.last_files_read.append(f.name)
-                dead = _ann_dead_union(self.tombs, seg_seq)
-                if dead is not None and len(tbl):
-                    ids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
-                    keep = ~np.isin(ids, dead)
-                    if not keep.all():
-                        tbl = tbl.filter(pa.array(keep))
-                if len(tbl):
-                    tables.append(tbl)
-        if not tables:
-            return None
-        part = pa.concat_tables(tables)
-        if len(part):
-            ids = part.column("vec_id").to_numpy(zero_copy_only=False)
-            # duplicates only from a compaction interrupted between base
-            # rename and delta unlink — keep the first (base) copy
-            if len(np.unique(ids)) != len(ids):
-                order = np.argsort(ids, kind="stable")
-                sids = ids[order]
-                keep = np.empty(len(sids), dtype=bool)
-                keep[0] = True
-                np.not_equal(sids[1:], sids[:-1], out=keep[1:])
-                part = part.take(pa.array(np.sort(order[keep])))
-        return part
+            segs = self.store.segments(f"{key_col}={key:05d}")
+            self.last_files_read += [f.name for f, _ in segs]
+            part = _merge_partition(self.store, segs, tombs)
+            if part is not None and len(part):
+                tables.append(part)
+        return pa.concat_tables(tables) if tables else None
 
     def topk(
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 9, n_probe: int = 4

@@ -53,7 +53,12 @@ def cdc_apply(
     (``seq_col`` int64 ≥ 1, ``op_col`` int64 ∈ {OP_UPSERT, OP_DELETE});
     delete rows may carry null payload. Per (key, seq) at most one row
     (a CDC stream has one op per LSN)."""
-    payload_cols = [c for c in snapshot.schema().names]
+    # materialized once, so the schema comes from block metadata: on a
+    # lazy plan ``schema()`` runs it, cancels the tasks still in flight
+    # (each cancellation can trip a Ray-internal abort) and the union
+    # below runs it again
+    snapshot = snapshot.materialize()
+    payload_cols = snapshot.schema().names
     if key not in payload_cols:
         raise ValueError(f"snapshot lacks key column {key!r}")
 

@@ -16,11 +16,10 @@ Layout (all atomic tmp+rename, lineage manifest):
 * ``sigpart=NNNNN.parquet``  — signature store (doc_id, sig binary of
   little-endian int64s), partitioned by ``doc_id % n_sig_parts`` — the
   verify side, read partition-pruned for candidate ids only;
-* LSM appends: ``part=NNNNN.delta-SSSS.parquet`` /
-  ``sigpart=NNNNN.delta-SSSS.parquet`` per touched partition (frozen
-  hashing parameters — the manifest pins them), idempotent per
-  ``input_token`` marker, exactly like the ANN index's
-  ``append_vectors``.
+* LSM appends, deletes and compaction: one delta per touched band/sig
+  partition (frozen hashing parameters — the manifest pins them),
+  tombstones and per-token markers, all owned by the shared segment
+  store (``state/segments.py``), exactly like the ANN index's.
 
 Scale shape: build/append shuffle slim band rows once (signatures ride
 a doc-keyed second writer, never the band exchange); a query batch
@@ -39,8 +38,6 @@ DuckDB oracle (same md5-derived signatures, same band rule).
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +49,7 @@ import ray
 import ray.data as rd
 
 from ..state.manifest import atomic_write_json, fingerprint_inputs, read_json
+from ..state.segments import SegmentStore
 from .dedup import MinHashSignatures, _band_keys
 
 _EMPTY_QUERY_PAIRS = pa.table(
@@ -63,101 +61,60 @@ _EMPTY_QUERY_PAIRS = pa.table(
 )
 
 
-def _mh_delta_seq(f: Path) -> int:
-    return int(f.name.rsplit("delta-", 1)[1].split(".")[0])
+# one band row per (doc, band); one signature row per doc
+_BAND_KEY = ("band_hash", "doc_id", "band_id")
+_BAND_COLS = pa.schema(
+    [("band_id", pa.int64()), ("band_hash", pa.int64()), ("doc_id", pa.int64())]
+)
+_SIG_COLS = pa.schema([("doc_id", pa.int64()), ("sig", pa.binary())])
 
 
-def _mh_next_seq(out: Path) -> int:
-    """Shared seq counter for deltas AND tombstones — a tombstone's
-    position in the append/delete order is total (delete→re-append
-    keeps the re-added doc, same rule as every other index family)."""
-    seqs = [_mh_delta_seq(f) for f in out.glob("*=*.delta-*.parquet")] + [
-        s for s, _ in _mh_tombstones(out)
-    ]
-    return (max(seqs) + 1) if seqs else 1
+def _store(index_dir: str | Path) -> SegmentStore:
+    return SegmentStore(Path(index_dir), bases=("part=*", "sigpart=*"), prefix="mh_")
 
 
-def _mh_tombstones(out: Path) -> list[tuple[int, np.ndarray]]:
-    tombs = []
-    for f in sorted(out.glob("mh_tombstone-*.parquet")):
-        seq = int(f.name.split("-", 1)[1].split(".")[0])
-        ids = pq.read_table(f, columns=["doc_id"]).column("doc_id").to_numpy()
-        tombs.append((seq, np.unique(ids.astype(np.int64))))
-    return tombs
+def _merge_partition(store: SegmentStore, key: str, segs, tombs, columns=None):
+    """THE MinHash merge, shared by probes and compaction: one band or
+    signature partition's base + delta rows, minus the docs a later
+    tombstone kills, one row per (doc, band) or per doc."""
+    key_cols = _BAND_KEY if key.startswith("part=") else ("doc_id",)
+    return store.merge(
+        [(pq.read_table(f, columns=columns), seq) for f, seq in segs], key_cols, tombs
+    )
 
 
-def _mh_dead_union(tombs, src_seq: int):
-    rel = [a for s, a in (tombs or []) if s > src_seq]
-    if not rel:
-        return None
-    return rel[0] if len(rel) == 1 else np.unique(np.concatenate(rel))
+def _merged(store: SegmentStore, key_col: str, keys, schema: pa.Schema, tombs) -> pa.Table:
+    """Merged ``schema`` columns of the ``key_col`` partitions ``keys``."""
+    parts = []
+    for k in keys:
+        key = f"{key_col}={int(k):05d}"
+        t = _merge_partition(store, key, store.segments(key), tombs, schema.names)
+        if t is not None and len(t):
+            parts.append(t.select(schema.names).cast(schema))
+    return pa.concat_tables(parts) if parts else schema.empty_table()
 
 
-_MH_FOLDED_KEY = b"mh_folded_seq"
-_mh_base_seq_cache: dict[tuple[str, int], int] = {}
+def _merged_ds(store: SegmentStore, key_col: str, keys, schema: pa.Schema) -> rd.Dataset:
+    """The distributed read of ``_merged``: one map task per partition."""
 
+    def read(batch: pa.Table) -> pa.Table:
+        return _merged(store, key_col, batch.column("k").to_pylist(), schema, store.tombstones())
 
-def _mh_base_seq(f: str | Path) -> int:
-    """Folded-through seq of a base partition file: -1 for a virgin base,
-    else the max delta/tombstone seq compaction folded into it.  The stamp
-    lives in the parquet footer metadata so it is atomic with the data
-    (tmp+rename) — if compaction is interrupted after folding some
-    partitions, a re-run (or a query racing the re-run) sees each folded
-    base's stamp and skips the surviving tombstones at or below it, so
-    docs legitimately re-appended after a delete are never re-killed.
-
-    Memoized per (path, mtime) — callers resolve seqs per ROW in the
-    tombstone filter, and a footer read per row would dominate; the mtime
-    key self-invalidates when compaction rewrites the base."""
-    path = str(f)
-    try:
-        key = (path, os.stat(path).st_mtime_ns)
-    except OSError:
-        return -1
-    hit = _mh_base_seq_cache.get(key)
-    if hit is not None:
-        return hit
-    try:
-        md = pq.read_schema(path).metadata or {}
-        v = md.get(_MH_FOLDED_KEY)
-        seq = int(v) if v is not None else -1
-    except Exception:
-        seq = -1
-    if len(_mh_base_seq_cache) > 4096:
-        _mh_base_seq_cache.clear()
-    _mh_base_seq_cache[key] = seq
-    return seq
-
-
-def _mh_file_seq(f: str | Path) -> int:
-    name = Path(f).name
-    return _mh_delta_seq(Path(f)) if "delta-" in name else _mh_base_seq(f)
+    return rd.from_items([{"k": int(k)} for k in keys]).map_batches(
+        read, batch_size=1, batch_format="pyarrow"
+    )
 
 
 def delete_from_minhash_index(
     index_dir: str | Path, doc_ids, input_token: str | None = None
 ) -> dict:
-    """LSM delete: one tombstone segment (atomic tmp+rename) that kills
-    the given indexed doc ids at probe time — per segment seq, so docs
-    re-appended AFTER the delete stay live. Idempotent per token."""
+    """LSM delete: one tombstone that kills the given indexed doc ids at
+    probe time — per segment seq, so docs re-appended AFTER the delete
+    stay live. Idempotent per token."""
     out = Path(index_dir)
     if not read_json(out / "mh_manifest.json"):
         raise ValueError("no minhash index at " + str(out))
-    if input_token is not None:
-        marker = out / f"mh_delete.{fingerprint_inputs([], {'t': input_token})}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
-    seq = _mh_next_seq(out)
-    tmp = out / f"mh_tombstone-{seq:04d}.parquet.tmp"
-    pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64())}), tmp)
-    tmp.rename(out / f"mh_tombstone-{seq:04d}.parquet")
-    res = {"seq": seq, "n_tombstoned": int(ids.size)}
-    if input_token is not None:
-        mt = out / (marker.name + ".tmp")
-        mt.write_text(json.dumps(res))
-        mt.rename(marker)
-    return res
+    return _store(out).delete(doc_ids, input_token)
 
 
 class _SignStage:
@@ -209,9 +166,10 @@ def _band_rows_from_sigs(batch: pa.Table, bands: int, n_band_parts: int) -> pa.T
 
 
 def _write_partitions(
-    out: Path, ds: rd.Dataset, key_col: str, sort_cols: list[str], suffix: str = ""
+    store: SegmentStore, ds: rd.Dataset, key_col: str, sort_cols: list[str], seq=None
 ) -> int:
-    """groupby(key_col) → one atomic partition (or delta) file per key."""
+    """groupby(key_col) → one partition file per key: its base (``seq``
+    None) or its delta at ``seq``."""
 
     def write_group(group: pd.DataFrame) -> pd.DataFrame:
         if not len(group):
@@ -221,10 +179,7 @@ def _write_partitions(
             group.sort_values(sort_cols, kind="mergesort").reset_index(drop=True),
             preserve_index=False,
         )
-        final = out / f"{key_col}={key:05d}{suffix}.parquet"
-        tmp = out / f"{key_col}={key:05d}{suffix}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        os.replace(tmp, final)
+        store.write(f"{key_col}={key:05d}", tbl, seq)
         return pd.DataFrame({"k": [key], "n": [len(group)]})
 
     res = ds.groupby(key_col).map_groups(write_group, batch_format="pandas").to_pandas()
@@ -257,25 +212,14 @@ def build_minhash_index(
         "n_band_parts": n_band_parts,
         "n_sig_parts": n_sig_parts,
         "input": input_token,
+        "layout": 2,  # the shared segment store's seq counter and stamp
     }
     fp = fingerprint_inputs(input_files or [], params)
     mf = read_json(out / "mh_manifest.json")
     if mf and mf.get("fingerprint") == fp:
         return mf
-    # rebuild invalidates everything derived from the old corpus —
-    # including tombstones and delete markers: stale tombstones (seq>=1)
-    # would otherwise apply to the fresh base (seq -1) and silently drop
-    # previously-deleted doc_ids from the new index (mirrors the
-    # posting-index rebuild cleanup in posindex.py).
-    for stale in (
-        list(out.glob("part=*.parquet"))
-        + list(out.glob("sigpart=*.parquet"))
-        + list(out.glob("*.parquet.tmp"))
-        + list(out.glob("mh_append.*.json"))
-        + list(out.glob("mh_tombstone-*.parquet"))
-        + list(out.glob("mh_delete.*.json"))
-    ):
-        stale.unlink()
+    store = _store(out)
+    store.reset()
 
     from ..stages.taskpool import cached_kernel_map
 
@@ -290,14 +234,14 @@ def build_minhash_index(
     band_rows = sigs.map_batches(
         lambda b: _band_rows_from_sigs(b, bands, n_band_parts), batch_format="pyarrow"
     )
-    n_band_rows = _write_partitions(out, band_rows, "part", ["band_hash", "doc_id"])
+    n_band_rows = _write_partitions(store, band_rows, "part", ["band_hash", "doc_id"])
 
     def sig_part(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.append_column("sigpart", pa.array(ids % n_sig_parts))
 
     n_docs = _write_partitions(
-        out, sigs.map_batches(sig_part, batch_format="pyarrow"), "sigpart", ["doc_id"]
+        store, sigs.map_batches(sig_part, batch_format="pyarrow"), "sigpart", ["doc_id"]
     )
     manifest = {"fingerprint": fp, **params, "n_docs": n_docs, "n_band_rows": n_band_rows}
     atomic_write_json(out / "mh_manifest.json", manifest)
@@ -316,11 +260,12 @@ def append_minhash_index(
     m = read_json(out / "mh_manifest.json")
     if not m:
         raise ValueError("no minhash index at " + str(out))
-    if input_token is not None:
-        marker = out / f"mh_append.{fingerprint_inputs([], {'t': input_token})}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    seq = _mh_next_seq(out)
+    store = _store(out)
+    return store.once("append", input_token, lambda: _append(store, m, documents))
+
+
+def _append(store: SegmentStore, m: dict, documents: rd.Dataset) -> dict:
+    seq = store.next_seq()
     from ..stages.taskpool import cached_kernel_map
 
     sigs = cached_kernel_map(
@@ -332,8 +277,7 @@ def append_minhash_index(
         lambda b: _band_rows_from_sigs(b, int(m["bands"]), int(m["n_band_parts"])),
         batch_format="pyarrow",
     )
-    suffix = f".delta-{seq:04d}"
-    n_band_rows = _write_partitions(out, band_rows, "part", ["band_hash", "doc_id"], suffix)
+    n_band_rows = _write_partitions(store, band_rows, "part", ["band_hash", "doc_id"], seq)
 
     def sig_part(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -342,24 +286,14 @@ def append_minhash_index(
         )
 
     n_docs = _write_partitions(
-        out, sigs.map_batches(sig_part, batch_format="pyarrow"), "sigpart", ["doc_id"], suffix
+        store, sigs.map_batches(sig_part, batch_format="pyarrow"), "sigpart", ["doc_id"], seq
     )
-    res = {"seq": seq, "n_docs_appended": n_docs, "n_band_rows": n_band_rows}
-    if input_token is not None:
-        tmp = out / (marker.name + ".tmp")
-        tmp.write_text(json.dumps(res))
-        tmp.rename(marker)
-    return res
+    return {"seq": seq, "n_docs_appended": n_docs, "n_band_rows": n_band_rows}
 
 
 def _partition_files(out: Path, key_col: str, keys: list[int]) -> list[str]:
-    files: list[str] = []
-    for k in keys:
-        base = out / f"{key_col}={k:05d}.parquet"
-        if base.exists():
-            files.append(str(base))
-        files += [str(f) for f in sorted(out.glob(f"{key_col}={k:05d}.delta-*.parquet"))]
-    return files
+    store = _store(out)
+    return [str(f) for k in keys for f, _ in store.segments(f"{key_col}={k:05d}")]
 
 
 def query_minhash_index(
@@ -401,7 +335,7 @@ def query_minhash_index(
     files = _partition_files(out, "part", sorted(parts))
     if not files:
         return rd.from_arrow(_EMPTY_QUERY_PAIRS)
-    tombs = _mh_tombstones(out)
+    store = _store(out)
 
     from ..config import DRIVER_FASTPATH_ROWS
 
@@ -413,35 +347,9 @@ def query_minhash_index(
     n_q_bands = q_bands.count()
     n_idx_bands = sum(pq.read_metadata(f).num_rows for f in files)
     if n_q_bands + n_idx_bands <= DRIVER_FASTPATH_ROWS:
-        return _query_fastpath(
-            out, m, files, q_bands, qsigs, tombs, threshold
-        )
-    tomb_ref = [ray.put(tombs)] if tombs else None
+        return _query_fastpath(store, m, sorted(parts), q_bands, qsigs, threshold)
 
-    def drop_dead(batch: pa.Table) -> pa.Table:
-        """Filter tombstoned indexed rows per SOURCE-FILE seq: a
-        tombstone kills only rows written before it, so a doc deleted
-        then re-appended stays live via its delta row."""
-        if not len(batch):
-            return batch.drop_columns(["path"])
-        paths = batch.column("path").to_pylist()
-        seqs = np.fromiter((_mh_file_seq(p) for p in paths), np.int64, len(paths))
-        docs = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = np.ones(len(batch), bool)
-        tl = ray.get(tomb_ref[0])
-        for s in np.unique(seqs):
-            dead = _mh_dead_union(tl, int(s))
-            if dead is not None:
-                msk = seqs == s
-                keep[msk] &= ~np.isin(docs[msk], dead)
-        return batch.drop_columns(["path"]).filter(pa.array(keep))
-
-    if tombs:
-        idx_bands = rd.read_parquet(files, include_paths=True).map_batches(
-            drop_dead, batch_format="pyarrow"
-        )
-    else:
-        idx_bands = rd.read_parquet(files)
+    idx_bands = _merged_ds(store, "part", sorted(parts), _BAND_COLS)
 
     def tag_side(side: int):
         def f(batch: pa.Table) -> pa.Table:
@@ -502,15 +410,9 @@ def query_minhash_index(
             ref_i.append(t.column("indexed_doc_id").to_numpy(zero_copy_only=False))
     idx_ids = np.unique(np.concatenate(ref_i))
     sig_keys = sorted({int(x % int(m["n_sig_parts"])) for x in idx_ids})
-    sig_files = _partition_files(out, "sigpart", sig_keys)
-    if tombs:
-        # a re-appended doc's STALE base signature must not verify —
-        # the same per-seq tombstone filter as the band read
-        idx_sigs = rd.read_parquet(sig_files, include_paths=True).map_batches(
-            drop_dead, batch_format="pyarrow"
-        )
-    else:
-        idx_sigs = rd.read_parquet(sig_files, columns=["doc_id", "sig"])
+    # merged per partition: a re-appended doc's STALE base signature
+    # must not verify
+    idx_sigs = _merged_ds(store, "sigpart", sig_keys, _SIG_COLS)
     ref_ref = [ray.put(pa.array(idx_ids, pa.int64()))]
 
     def only_ref(batch: pa.Table) -> pa.Table:
@@ -572,92 +474,20 @@ def query_minhash_index(
 def compact_minhash_index(index_dir: str | Path) -> dict:
     """Fold every delta segment and tombstone into the base partition
     files (one Ray task per touched partition — partitions are
-    independent hash shards), then unlink the LSM state. Query results
-    are identical before and after (tested); crash-safe via tmp+rename
-    — a re-run after interruption redoes only surviving deltas."""
-    out = Path(index_dir)
-    tombs = _mh_tombstones(out)
-    touched = {f.name.split(".")[0] for f in out.glob("*=*.delta-*.parquet")}
-    if tombs:
-        touched |= {
-            f.name.split(".")[0]
-            for f in out.glob("part=*.parquet")
-            if "delta-" not in f.name
-        }
-        touched |= {
-            f.name.split(".")[0]
-            for f in out.glob("sigpart=*.parquet")
-            if "delta-" not in f.name
-        }
-    touched = sorted(touched)
-    if not touched:
-        return {"n_partitions_compacted": 0}
-
-    # every partition folds through the same high-water mark so a
-    # partially-completed compaction leaves an unambiguous per-base stamp
-    fold_seq = max(
-        [s for s, _ in tombs]
-        + [_mh_delta_seq(f) for f in out.glob("*=*.delta-*.parquet")]
-        + [0]
-    )
-
-    @ray.remote
-    def fold(prefix: str) -> int:
-        base = out / f"{prefix}.parquet"
-        deltas = sorted(out.glob(f"{prefix}.delta-*.parquet"))
-        tables = []
-        base_seq = -1
-        if base.exists():
-            # a base already folded by an interrupted earlier run carries
-            # its stamp — tombstones at or below it must not re-apply
-            base_seq = _mh_base_seq(base)
-            tables.append((pq.read_table(base), base_seq))
-        tables += [(pq.read_table(f), _mh_delta_seq(f)) for f in deltas]
-        # the stamp never decreases: a re-run's fold_seq can be lower than
-        # an existing stamp once the deltas that set it were folded away
-        stamp = max(fold_seq, base_seq)
-        kept = []
-        for t, seq in tables:
-            dead = _mh_dead_union(tombs, seq)
-            if dead is not None and len(t):
-                docs = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-                t = t.filter(pa.array(~np.isin(docs, dead)))
-            if len(t):
-                kept.append(t)
-        if not kept and not base.exists():
-            for f in deltas:
-                f.unlink()
-            return 0
-        merged = pa.concat_tables(kept) if kept else tables[0][0].slice(0, 0)
-        sort_cols = (
-            ["band_hash", "doc_id"] if prefix.startswith("part=") else ["doc_id"]
-        )
-        merged = merged.sort_by([(c, "ascending") for c in sort_cols])
-        meta = dict(merged.schema.metadata or {})
-        meta[_MH_FOLDED_KEY] = str(stamp).encode()
-        merged = merged.replace_schema_metadata(meta)
-        tmp = out / f"{prefix}.parquet.tmp"
-        pq.write_table(merged, tmp, compression="zstd")
-        os.replace(tmp, base)
-        for f in deltas:
-            f.unlink()
-        return len(merged)
-
-    ray.get([fold.remote(p) for p in touched])
-    # every base is now current through the max folded seq → tombstones
-    # are spent (they apply only to rows written before them)
-    for f in out.glob("mh_tombstone-*.parquet"):
-        f.unlink()
-    return {"n_partitions_compacted": len(touched)}
+    independent hash shards; ``state/segments.py`` owns the lifecycle).
+    Query results are identical before and after (tested); a re-run
+    after an interruption converges."""
+    store = _store(index_dir)
+    counts = store.compact(lambda key, segs, tombs: _merge_partition(store, key, segs, tombs))
+    return {"n_partitions_compacted": len(counts)}
 
 
 def _query_fastpath(
-    out: Path,
+    store: SegmentStore,
     m: dict,
-    band_files: list[str],
+    parts: list[int],
     q_bands: rd.Dataset,
     qsigs: rd.Dataset,
-    tombs,
     threshold: float,
 ) -> rd.Dataset:
     """Driver-local candidate join + est verify for small probe/partition
@@ -665,21 +495,10 @@ def _query_fastpath(
     qb = pa.concat_tables([t for t in ray.get(q_bands.materialize().to_arrow_refs()) if len(t)])
     if not len(qb):
         return rd.from_arrow(_EMPTY_QUERY_PAIRS)
-    # indexed band rows, tombstone-filtered per source-file seq
-    i_parts = []
-    for f in band_files:
-        t = pq.read_table(f, columns=["band_id", "band_hash", "doc_id"])
-        if not len(t):
-            continue
-        dead = _mh_dead_union(tombs, _mh_file_seq(f))
-        if dead is not None:
-            docs = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-            t = t.filter(pa.array(~np.isin(docs, dead)))
-        if len(t):
-            i_parts.append(t)
-    if not i_parts:
+    tombs = store.tombstones()
+    it = _merged(store, "part", parts, _BAND_COLS, tombs)
+    if not len(it):
         return rd.from_arrow(_EMPTY_QUERY_PAIRS)
-    it = pa.concat_tables(i_parts)
 
     def cols(t: pa.Table):
         return (
@@ -716,7 +535,7 @@ def _query_fastpath(
     pi, pq_ = upk[:, 0], upk[:, 1]
 
     # signatures: query side from the materialized qsigs blocks, indexed
-    # side from candidate-id-filtered, tombstone-filtered sig partitions
+    # side from the candidate ids of the merged sig partitions
     q_sig: dict[int, bytes] = {}
     for t in ray.get(qsigs.materialize().to_arrow_refs()):
         for d, s in zip(t.column("doc_id").to_pylist(), t.column("sig").to_pylist()):
@@ -724,18 +543,10 @@ def _query_fastpath(
     need = np.unique(pi)
     sig_keys = sorted({int(x % int(m["n_sig_parts"])) for x in need})
     i_sig: dict[int, bytes] = {}
-    for f in _partition_files(out, "sigpart", sig_keys):
-        t = pq.read_table(f, columns=["doc_id", "sig"])
-        if not len(t):
-            continue
-        docs = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = np.isin(docs, need)
-        dead = _mh_dead_union(tombs, _mh_file_seq(f))
-        if dead is not None:
-            keep &= ~np.isin(docs, dead)
-        t = t.filter(pa.array(keep))
-        for d, s in zip(t.column("doc_id").to_pylist(), t.column("sig").to_pylist()):
-            i_sig[int(d)] = s
+    t = _merged(store, "sigpart", sig_keys, _SIG_COLS, tombs)
+    t = t.filter(pa.array(np.isin(t.column("doc_id").to_numpy(), need)))
+    for d, s in zip(t.column("doc_id").to_pylist(), t.column("sig").to_pylist()):
+        i_sig[int(d)] = s
     i_out, q_out, e_out = [], [], []
     for di, dq in zip(pi.tolist(), pq_.tolist()):
         b1 = i_sig.get(di)

@@ -25,7 +25,6 @@ scale extension (SURVEY §2 has no counterpart).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -46,8 +45,26 @@ from ..stages.postings import (
     posting_row_128_from_storage,
     posting_row_128_to_storage,
 )
+from ..state.segments import SegmentStore, first_per_key
 
 _U64 = 1 << 64
+
+# manifest layout version (v3: the shared segment store's seq counter)
+_VERSION = 3
+_DOCMAP = "docmap"
+_ROWS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("doc_hi", pa.uint64()), ("doc_lo", pa.uint64()),
+     ("tf", pa.int64())]
+)
+
+
+def _store(out: str | Path) -> SegmentStore:
+    # tombstones hold the 128-bit id as its signed (hi, lo) bit patterns
+    return SegmentStore(Path(out), bases=("bucket=*", _DOCMAP), id_cols=("doc_hi", "doc_lo"))
+
+
+def _key(b: int) -> str:
+    return f"bucket={b:05d}"
 
 
 def _doc_urls(batch: pa.Table) -> list[str]:
@@ -83,57 +100,16 @@ def build_index_128(
             if (
                 input_token is not None
                 and m.get("input_token") == input_token
-                and m.get("version") == 2
+                and m.get("version") == _VERSION
             ):
                 return m
         except Exception:
             pass
-    out.mkdir(parents=True, exist_ok=True)
-    # a rebuild invalidates everything derived from the old corpus —
-    # segments, LSM deltas (segment AND docmap), append markers
-    for stale in (
-        list(out.glob("bucket=*.parquet"))
-        + list(out.glob("docmap.delta-*.parquet"))
-        + list(out.glob("tombstone-*.parquet"))
-        + list(out.glob("append.*.json"))
-        + list(out.glob("delete.*.json"))
-        + list(out.glob("*.tmp"))
-    ):
-        stale.unlink()
-
-    parts = _explode_128(documents, n_buckets).materialize()
-
-    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["bucket"].iloc[0])
-        tbl = _encode_bucket_rows_128(b, group)
-        tmp = out / f"bucket={b:05d}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        tmp.rename(out / f"bucket={b:05d}.parquet")
-        return pd.DataFrame({"bucket": [b], "n_terms": [len(tbl)]})
-
-    seg_rows = parts.filter(expr="bucket >= 0")
-    manifest_rows = (
-        seg_rows.groupby("bucket").map_groups(write_bucket, batch_format="pandas").to_pandas()
-    )
-
-    dm = parts.filter(expr="bucket < 0").map_batches(
-        lambda t: pa.table(
-            {
-                "doc_hi": t["hi"],
-                "doc_lo": t["lo"],
-                "doc_id": t["doc_id"],
-                "doc_len": t["tf"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    dm_tbl = pa.concat_tables(ray_get_all(dm))
-    tmp = out / "docmap.parquet.tmp"
-    pq.write_table(dm_tbl, tmp, compression="zstd")
-    tmp.rename(out / "docmap.parquet")
-
+    store = _store(out)
+    store.reset()
+    manifest_rows, dm_tbl = _write_segments(store, documents, n_buckets, seq=None)
     m = {
-        "version": 2,  # v2: docmap carries doc_len (BM25 serving)
+        "version": _VERSION,
         "input_token": input_token,
         "n_buckets": int(n_buckets),
         "n_docs_indexed": int(len(dm_tbl)),
@@ -214,13 +190,48 @@ def _explode_128(documents: rd.Dataset, n_buckets: int) -> rd.Dataset:
     )
 
 
+def _write_segments(store: SegmentStore, documents: rd.Dataset, n_buckets: int, seq):
+    """ONE tokenize+md5 pass → one encoded segment per touched bucket
+    plus the docmap: the bases (``seq`` None) or the deltas at ``seq``.
+    → (per-bucket term counts, docmap table)."""
+    parts = _explode_128(documents, n_buckets).materialize()
+
+    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+        b = int(group["bucket"].iloc[0])
+        tbl = _encode_bucket_rows_128(b, group)
+        store.write(_key(b), tbl, seq)
+        return pd.DataFrame({"bucket": [b], "n_terms": [len(tbl)]})
+
+    rows = (
+        parts.filter(expr="bucket >= 0")
+        .groupby("bucket")
+        .map_groups(write_bucket, batch_format="pandas")
+        .to_pandas()
+    )
+    dm = parts.filter(expr="bucket < 0").map_batches(
+        lambda t: pa.table(
+            {
+                "doc_hi": t["hi"],
+                "doc_lo": t["lo"],
+                "doc_id": t["doc_id"],
+                "doc_len": t["tf"],
+            }
+        ),
+        batch_format="pyarrow",
+    )
+    dm_tbl = pa.concat_tables(ray_get_all(dm))
+    store.write(_DOCMAP, dm_tbl, seq)
+    return rows, dm_tbl
+
+
 def _encode_bucket_rows_128(b: int, group: pd.DataFrame) -> pa.Table:
-    """One bucket's (term, hi, lo, tf) rows → SEGMENT_SCHEMA_128 table."""
+    """One bucket's (term, hi, lo, tf) rows (hi/lo: 64-bit patterns,
+    signed or not) → SEGMENT_SCHEMA_128 table."""
     rows: dict[str, list] = {name: [] for name in SEGMENT_SCHEMA_128.names}
     for term, g in group.groupby("term", sort=True):
         payload = encode_posting_list_128(
-            g["hi"].to_numpy(np.int64).view(np.uint64),
-            g["lo"].to_numpy(np.int64).view(np.uint64),
+            g["hi"].to_numpy().astype(np.uint64),
+            g["lo"].to_numpy().astype(np.uint64),
             g["tf"].to_numpy(np.int64),
         )
         srow = posting_row_128_to_storage(payload)
@@ -374,155 +385,81 @@ def topk_128(
     )
 
 
-def _file_seq_128(f: Path) -> int:
-    """LSM seq of a segment/docmap file: deltas parse it from the name;
-    base files read the ``base_seq`` recorded by compaction (−1 fresh)."""
-    if ".delta-" in f.name:
-        return int(f.name.rsplit("delta-", 1)[1].split(".")[0])
-    meta = pq.read_schema(f).metadata or {}
-    return int(meta.get(b"base_seq", b"-1"))
+def _postings(tbl: pa.Table) -> pa.Table:
+    """SEGMENT_SCHEMA_128 rows → _ROWS_SCHEMA rows, one per posting."""
+    from ..stages.codec import decode_posting_list_128
+
+    terms, his, los, tfs = [], [], [], []
+    for r in tbl.to_pylist():
+        h, l, t = decode_posting_list_128(posting_row_128_from_storage(r))
+        terms.append(r["term"])
+        his.append(h)
+        los.append(l)
+        tfs.append(t)
+    if not terms:
+        return _ROWS_SCHEMA.empty_table()
+    run = np.repeat(np.arange(len(terms)), [len(h) for h in his])
+    return pa.table(
+        {
+            "term": pa.array(terms, pa.string()).take(pa.array(run)),
+            "doc_hi": pa.array(np.concatenate(his), pa.uint64()),
+            "doc_lo": pa.array(np.concatenate(los), pa.uint64()),
+            "tf": pa.array(np.concatenate(tfs), pa.int64()),
+        },
+        schema=_ROWS_SCHEMA,
+    )
 
 
-def _tombstones_128(out: Path) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Live tombstone segments as (seq, hi, lo) — signed-int64 bit
-    patterns (the storage domain), lexsorted by (hi, lo)."""
-    tombs = []
-    for f in sorted(out.glob("tombstone-*.parquet")):
-        seq = int(f.name.split("-", 1)[1].split(".")[0])
-        t = pq.read_table(f, columns=["doc_hi", "doc_lo"])
-        hi = t["doc_hi"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lo = t["doc_lo"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((lo, hi))
-        tombs.append((seq, hi[order], lo[order]))
-    return tombs
+def _merge_bucket_128(store: SegmentStore, segs, tombs, term: str | None = None):
+    """THE 128-bit posting merge, shared by the read path and compaction:
+    one bucket's base + delta postings (only ``term``'s when given) →
+    (term, doc_hi, doc_lo, tf) rows, tombstoned ids dropped per segment
+    seq, one row per (term, id)."""
+    filters = None if term is None else [("term", "==", term)]
+    return store.merge(
+        [(_postings(pq.read_table(f, filters=filters)), seq) for f, seq in segs],
+        ("term", "doc_hi", "doc_lo"),
+        tombs,
+    )
 
 
-def _member_128(hi, lo, dead_hi, dead_lo) -> np.ndarray:
-    """Vectorized membership of (hi, lo) pairs in the lexsorted dead
-    arrays — equality only, so the sort domain (signed vs unsigned bit
-    pattern) just has to match between the two sides."""
-    res = np.zeros(len(hi), dtype=bool)
-    if not len(dead_hi) or not len(hi):
-        return res
-    left = np.searchsorted(dead_hi, hi, side="left")
-    right = np.searchsorted(dead_hi, hi, side="right")
-    span = right - left
-    one = span == 1
-    res[one] = dead_lo[np.minimum(left[one], len(dead_lo) - 1)] == lo[one]
-    for i in np.nonzero(span > 1)[0]:  # md5-hi collisions: ~never
-        res[i] = lo[i] in dead_lo[left[i] : right[i]]
-    return res
-
-
-def _dead_for_seq_128(tombs, src_seq: int):
-    """(hi, lo) union of tombstones that apply to a segment written at
-    ``src_seq`` — only LATER deletes kill; re-adds after a delete live."""
-    rel = [(h, l) for s, h, l in (tombs or []) if s > src_seq]
-    if not rel:
-        return None
-    if len(rel) == 1:
-        return rel[0]
-    hi = np.concatenate([h for h, _ in rel])
-    lo = np.concatenate([l for _, l in rel])
-    order = np.lexsort((lo, hi))
-    return hi[order], lo[order]
+def _merge_docmap(store: SegmentStore, segs, tombs, columns=None, filters=None):
+    """THE docmap merge, shared by the read path and compaction: base +
+    delta docmap rows, one per 128-bit id, tombstoned ids dropped per
+    file seq."""
+    return store.merge(
+        [(pq.read_table(f, columns=columns, filters=filters), seq) for f, seq in segs],
+        ("doc_hi", "doc_lo"),
+        tombs,
+    )
 
 
 def _read_docmap(out: Path, columns=None, filters=None) -> pa.Table:
-    """Docmap rows across the base file and any LSM delta docmaps,
-    deduplicated on (hi, lo) keeping the FIRST in (base, delta…) file
-    order — duplicates only arise from a compaction/append interrupted
-    mid-commit, with identical content either way. Tombstoned docs are
-    filtered per file seq, so serving statistics (N, avgdl, doc_len)
-    stay exact after deletes with no manifest rewrite."""
-    cols = columns
-    if cols is not None:
-        need = set(cols) | {"doc_hi", "doc_lo"}
-        cols = [c for c in ["doc_hi", "doc_lo", "doc_id", "doc_len"] if c in need]
-    tombs = _tombstones_128(out)
-    files = [out / "docmap.parquet"] + sorted(out.glob("docmap.delta-*.parquet"))
-    tables = []
-    for f in files:
-        if not f.exists():
-            continue
-        t0 = pq.read_table(f, columns=cols, filters=filters)
-        if tombs and len(t0):
-            dead = _dead_for_seq_128(tombs, _file_seq_128(f))
-            if dead is not None:
-                kill = _member_128(
-                    t0["doc_hi"].to_numpy(zero_copy_only=False).astype(np.int64),
-                    t0["doc_lo"].to_numpy(zero_copy_only=False).astype(np.int64),
-                    dead[0],
-                    dead[1],
-                )
-                if kill.any():
-                    t0 = t0.filter(pa.array(~kill))
-        tables.append(t0)
-    if not tables:
+    """The live docmap, so serving statistics (N, avgdl, doc_len) stay
+    exact after appends and deletes with no manifest rewrite."""
+    if columns is not None:
+        need = set(columns) | {"doc_hi", "doc_lo"}
+        columns = [c for c in ["doc_hi", "doc_lo", "doc_id", "doc_len"] if c in need]
+    store = _store(out)
+    t = _merge_docmap(store, store.segments(_DOCMAP), None, columns, filters)
+    if t is None:
         raise FileNotFoundError(f"no docmap under {out}")
-    t = pa.concat_tables(tables)
-    if len(tables) == 1 or len(t) == 0:
-        return t
-    hi = t["doc_hi"].to_numpy(zero_copy_only=False)
-    lo = t["doc_lo"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((np.arange(len(t)), lo, hi))
-    sh, sl = hi[order], lo[order]
-    keep = np.empty(len(t), dtype=bool)
-    keep[0] = True
-    np.not_equal(sh[1:], sh[:-1], out=keep[1:])
-    keep[1:] |= sl[1:] != sl[:-1]
-    return t.take(pa.array(np.sort(order[keep])))
+    return t
 
 
 def _load_term_row_128(out: Path, bkt: int, term: str) -> dict | None:
     """One term's merged posting payload across the base bucket file and
-    LSM deltas: decode, concat, (hi, lo)-sort, dedupe keep-first,
-    re-encode — with tombstoned docs dropped per file seq. None when the
-    term is absent everywhere (or fully tombstoned)."""
-    from ..stages.codec import decode_posting_list_128
-
-    tombs = _tombstones_128(out)
-    files = [out / f"bucket={bkt:05d}.parquet"] + sorted(
-        out.glob(f"bucket={bkt:05d}.delta-*.parquet")
-    )
-    raw = []
-    for f in files:
-        if not f.exists():
-            continue
-        tbl = pq.read_table(f, filters=[("term", "==", term)])
-        dead = _dead_for_seq_128(tombs, _file_seq_128(f)) if tombs else None
-        for r in tbl.to_pylist():
-            payload = posting_row_128_from_storage(r)
-            if dead is not None:
-                h, l, t = decode_posting_list_128(payload)
-                kill = _member_128(_signed(h), _signed(l), dead[0], dead[1])
-                if kill.any():
-                    keep = ~kill
-                    if not keep.any():
-                        continue
-                    payload = encode_posting_list_128(h[keep], l[keep], t[keep])
-            raw.append(payload)
-    if not raw:
+    LSM deltas. None when the term is absent everywhere (or fully
+    tombstoned)."""
+    store = _store(out)
+    rows = _merge_bucket_128(store, store.segments(_key(bkt)), store.tombstones(), term)
+    if rows is None or not len(rows):
         return None
-    if len(raw) == 1:
-        return raw[0]
-    his, los, tfs = [], [], []
-    for r in raw:
-        h, l, t = decode_posting_list_128(r)
-        his.append(h)
-        los.append(l)
-        tfs.append(t)
-    hi = np.concatenate(his)
-    lo = np.concatenate(los)
-    tf = np.concatenate(tfs)
-    order = np.lexsort((np.arange(len(hi)), lo, hi))
-    sh, sl = hi[order], lo[order]
-    keep = np.empty(len(hi), dtype=bool)
-    keep[0] = True
-    np.not_equal(sh[1:], sh[:-1], out=keep[1:])
-    keep[1:] |= sl[1:] != sl[:-1]
-    order = order[keep]
-    return encode_posting_list_128(hi[order], lo[order], tf[order])
+    return encode_posting_list_128(
+        rows.column("doc_hi").to_numpy(),
+        rows.column("doc_lo").to_numpy(),
+        rows.column("tf").to_numpy(),
+    )
 
 
 def append_documents_128(
@@ -531,77 +468,24 @@ def append_documents_128(
     """LSM micro-batch append for the 128-bit index: one tokenize+md5
     pass over the NEW documents (ids derive from md5(url), so "new"
     means new urls — the versioning contract) writes per-touched-bucket
-    delta segment files plus a delta docmap, all atomic. Queries merge
-    base + deltas per term and derive doc statistics from the combined
-    docmap, so idf/avgdl stay exact after any number of appends.
-    Same-token re-appends are skipped via a marker; a rebuild clears
-    markers and deltas."""
+    delta segments plus a delta docmap. Queries merge base + deltas per
+    term and derive doc statistics from the combined docmap, so
+    idf/avgdl stay exact after any number of appends. Same-token
+    re-appends are skipped; a rebuild clears markers and deltas."""
     out = Path(index_dir)
-    m = json.loads((out / "manifest.json").read_text())
-    nb = int(m["n_buckets"])
-    if input_token is not None:
-        marker = out / f"append.{_hash_token(input_token)}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    seq = _next_seq_128(out)
+    nb = int(json.loads((out / "manifest.json").read_text())["n_buckets"])
+    store = _store(out)
 
-    parts = _explode_128(documents, nb).materialize()
+    def run() -> dict:
+        seq = store.next_seq()
+        rows, dm_tbl = _write_segments(store, documents, nb, seq)
+        return {
+            "seq": seq,
+            "n_buckets_touched": int(len(rows)),
+            "n_docs_appended": int(len(dm_tbl)),
+        }
 
-    def write_delta(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["bucket"].iloc[0])
-        tbl = _encode_bucket_rows_128(b, group)
-        tmp = out / f"bucket={b:05d}.delta-{seq:04d}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        tmp.rename(out / f"bucket={b:05d}.delta-{seq:04d}.parquet")
-        return pd.DataFrame({"bucket": [b], "n_terms": [len(tbl)]})
-
-    rows = (
-        parts.filter(expr="bucket >= 0")
-        .groupby("bucket")
-        .map_groups(write_delta, batch_format="pandas")
-        .to_pandas()
-    )
-    dm = parts.filter(expr="bucket < 0").map_batches(
-        lambda t: pa.table(
-            {
-                "doc_hi": t["hi"],
-                "doc_lo": t["lo"],
-                "doc_id": t["doc_id"],
-                "doc_len": t["tf"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    dm_tbl = pa.concat_tables(ray_get_all(dm))
-    tmp = out / f"docmap.delta-{seq:04d}.parquet.tmp"
-    pq.write_table(dm_tbl, tmp, compression="zstd")
-    tmp.rename(out / f"docmap.delta-{seq:04d}.parquet")
-
-    res = {
-        "seq": seq,
-        "n_buckets_touched": int(len(rows)),
-        "n_docs_appended": int(len(dm_tbl)),
-    }
-    if input_token is not None:
-        mt = out / f"append.{_hash_token(input_token)}.json.tmp"
-        mt.write_text(json.dumps(res))
-        mt.rename(out / f"append.{_hash_token(input_token)}.json")
-    return res
-
-
-def _hash_token(token: str) -> str:
-    return hashlib.md5(token.encode("utf-8")).hexdigest()[:10]
-
-
-def _next_seq_128(out: Path) -> int:
-    """Next LSM seq, shared across segment deltas, docmap deltas and
-    tombstones so the append/delete order is total."""
-    seqs = [
-        int(f.name.rsplit("delta-", 1)[1].split(".")[0])
-        for f in list(out.glob("bucket=*.delta-*.parquet"))
-        + list(out.glob("docmap.delta-*.parquet"))
-    ] + [s for s, _, _ in _tombstones_128(out)]
-    return (max(seqs) + 1) if seqs else 0
+    return store.once("append", input_token, run)
 
 
 def delete_documents_128(
@@ -609,18 +493,14 @@ def delete_documents_128(
 ) -> dict:
     """LSM delete for the 128-bit index: derive each row's 128-bit docID
     (md5 of the SAME url plan the build hashes) and write one tombstone
-    segment (atomic tmp+rename) that kills those ids in every segment
-    AND docmap file written before it. Queries filter at read time —
-    including the docmap, so N/avgdl/doc_len (hence idf and BM25) are
-    exact immediately after the delete with no manifest rewrite. A later
-    ``append_documents_128`` may re-add an id and it stays live (seq
-    ordering — the main engine's kill-map semantics). Same-token
-    re-deletes are skipped; ``compact_index_128`` folds tombstones."""
-    out = Path(index_dir)
-    if input_token is not None:
-        marker = out / f"delete.{_hash_token(input_token)}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
+    that kills those ids in every segment AND docmap file written before
+    it. Queries filter at read time — including the docmap, so
+    N/avgdl/doc_len (hence idf and BM25) are exact immediately after the
+    delete with no manifest rewrite. A later ``append_documents_128``
+    may re-add an id and it stays live (seq ordering — the main engine's
+    kill-map semantics). Same-token re-deletes are skipped;
+    ``compact_index_128`` folds tombstones."""
+    store = _store(index_dir)
 
     def ids(batch: pa.Table) -> pa.Table:
         hi, lo = assign_doc_ids_128(_doc_urls(batch))
@@ -628,117 +508,35 @@ def delete_documents_128(
             {"doc_hi": pa.array(_signed(hi)), "doc_lo": pa.array(_signed(lo))}
         )
 
-    tbl = pa.concat_tables(
-        ray_get_all(
-            documents.select_columns(["doc_id", "source"]).map_batches(
-                ids, batch_format="pyarrow"
+    def run() -> dict:
+        tbl = pa.concat_tables(
+            ray_get_all(
+                documents.select_columns(["doc_id", "source"]).map_batches(
+                    ids, batch_format="pyarrow"
+                )
             )
         )
-    )
-    hi = tbl["doc_hi"].to_numpy(zero_copy_only=False).astype(np.int64)
-    lo = tbl["doc_lo"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((lo, hi))
-    sh, sl = hi[order], lo[order]
-    if len(sh) > 1:
-        keep = np.empty(len(sh), dtype=bool)
-        keep[0] = True
-        np.not_equal(sh[1:], sh[:-1], out=keep[1:])
-        keep[1:] |= sl[1:] != sl[:-1]
-        sh, sl = sh[keep], sl[keep]
-    seq = _next_seq_128(out)
-    t = pa.table({"doc_hi": pa.array(sh), "doc_lo": pa.array(sl)})
-    tmp = out / f"tombstone-{seq:04d}.parquet.tmp"
-    pq.write_table(t, tmp, compression="zstd")
-    tmp.rename(out / f"tombstone-{seq:04d}.parquet")
-    res = {"seq": seq, "n_tombstoned": int(len(sh))}
-    if input_token is not None:
-        mt = out / f"delete.{_hash_token(input_token)}.json.tmp"
-        mt.write_text(json.dumps(res))
-        mt.rename(out / f"delete.{_hash_token(input_token)}.json")
-    return res
+        tbl = first_per_key(tbl, ("doc_hi", "doc_lo"))
+        return {"seq": store.write_tombstone(tbl), "n_tombstoned": int(len(tbl))}
+
+    return store.once("delete", input_token, run)
 
 
 def compact_index_128(index_dir: str) -> dict:
-    """Fold delta segments + delta docmaps into the base files (one Ray
-    task per touched bucket; docmap on the driver — ~32 B/doc). Results
-    are identical before and after (tested); idempotent under crashes
-    mid-commit because all merges dedupe on the 128-bit id."""
-    import ray
+    """Fold delta segments, delta docmaps and tombstones into the base
+    files (one Ray task per touched bucket and one for the docmap;
+    ``state/segments.py`` owns the lifecycle). Results are identical
+    before and after (tested); a re-run after an interruption
+    converges."""
+    store = _store(index_dir)
 
-    out = Path(index_dir)
-    tombs = _tombstones_128(out)
-    touched = {f.name.split(".")[0] for f in out.glob("bucket=*.delta-*.parquet")}
-    if tombs:
-        # a tombstone can kill docs in ANY bucket — fold into every base
-        touched |= {
-            f.name.split(".")[0]
-            for f in out.glob("bucket=*.parquet")
-            if ".delta-" not in f.name
-        }
-    touched = sorted(touched)
-    dm_deltas = sorted(out.glob("docmap.delta-*.parquet"))
-    if not touched and not dm_deltas and not tombs:
-        return {"n_buckets_compacted": 0}
-    all_seqs = [
-        int(f.name.rsplit("delta-", 1)[1].split(".")[0])
-        for f in list(out.glob("bucket=*.delta-*.parquet")) + dm_deltas
-    ] + [s for s, _, _ in tombs]
-    fold_seq = max(all_seqs) if all_seqs else None
+    def fold(key: str, segs, tombs) -> pa.Table:
+        if key == _DOCMAP:
+            return _merge_docmap(store, segs, tombs)
+        rows = _merge_bucket_128(store, segs, tombs)
+        group = rows.rename_columns(["term", "hi", "lo", "tf"]).to_pandas()
+        return _encode_bucket_rows_128(int(key.split("=")[1]), group)
 
-    @ray.remote
-    def compact_bucket(prefix: str) -> int:
-        base = out / f"{prefix}.parquet"
-        deltas = sorted(out.glob(f"{prefix}.delta-*.parquet"))
-        terms: set[str] = set()
-        for f in [base] + deltas:
-            if f.exists():
-                terms.update(pq.read_table(f, columns=["term"])["term"].to_pylist())
-        bkt = int(prefix.split("=")[1])
-        rows: dict[str, list] = {n: [] for n in SEGMENT_SCHEMA_128.names}
-        for term in sorted(terms):
-            payload = _load_term_row_128(out, bkt, term)
-            if payload is None:  # fully tombstoned term
-                continue
-            srow = posting_row_128_to_storage(payload)
-            rows["bucket"].append(bkt)
-            rows["site_id"].append(0)
-            rows["term"].append(term)
-            rows["salt"].append(0)
-            for c in (
-                "df", "cf", "doc_gaps", "tf_bytes", "block_last_doc_hi",
-                "block_last_doc_lo", "block_max_tf", "block_gap_offset",
-                "block_tf_offset",
-            ):
-                rows[c].append(srow[c])
-        tbl = pa.table(
-            {n: pa.array(rows[n], SEGMENT_SCHEMA_128.field(n).type) for n in SEGMENT_SCHEMA_128.names}
-        )
-        if fold_seq is not None:
-            # fold point INSIDE the file (atomic with the data): a crash
-            # between renames and tombstone unlink must not re-kill docs
-            # re-added after the tombstone
-            tbl = tbl.replace_schema_metadata({b"base_seq": str(fold_seq).encode()})
-        tmp = out / f"{prefix}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        tmp.rename(out / f"{prefix}.parquet")
-        for f in deltas:
-            f.unlink()
-        return len(tbl)
-
-    counts = ray.get([compact_bucket.remote(p) for p in touched]) if touched else []
-    if dm_deltas or tombs:
-        merged = _read_docmap(out)  # tombstones applied inside
-        if fold_seq is not None:
-            merged = merged.replace_schema_metadata(
-                {b"base_seq": str(fold_seq).encode()}
-            )
-        tmp = out / "docmap.parquet.tmp"
-        pq.write_table(merged, tmp, compression="zstd")
-        tmp.rename(out / "docmap.parquet")
-        for f in sorted(out.glob("docmap.delta-*.parquet")):
-            f.unlink()
-    # tombstones folded into every base — safe to drop only after all
-    # renames land; a crash above re-applies survivors idempotently
-    for f in out.glob("tombstone-*.parquet"):
-        f.unlink()
-    return {"n_buckets_compacted": len(touched), "n_terms": int(sum(counts))}
+    counts = store.compact(fold)
+    counts.pop(_DOCMAP, None)
+    return {"n_buckets_compacted": len(counts), "n_terms": int(sum(counts.values()))}

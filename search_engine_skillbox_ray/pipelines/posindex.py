@@ -43,6 +43,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_u64
 from ..stages.codec import varbyte_decode, varbyte_encode
+from ..state.segments import SegmentStore
 
 POS_SCHEMA = pa.schema(
     [
@@ -66,8 +67,21 @@ POS_SCHEMA = pa.schema(
 DOCLEN_TERM = "\x00dl"
 
 # bump when the on-disk layout changes so token-gated rebuilds don't
-# serve a stale (pre-doclens) index
-POS_VERSION = 2
+# serve a stale index (v3: the shared segment store's seq counter)
+POS_VERSION = 3
+
+# merged posting rows: one per (term, doc) with the doc's positions
+_ROWS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("doc_id", pa.int64()), ("positions", pa.large_list(pa.int64()))]
+)
+
+
+def _store(out: str | Path) -> SegmentStore:
+    return SegmentStore(Path(out), bases=("bucket=*",))
+
+
+def _key(b: int) -> str:
+    return f"bucket={b:05d}"
 
 
 def build_positional_index(
@@ -91,32 +105,9 @@ def build_positional_index(
                 return m
         except Exception:
             pass
-    out.mkdir(parents=True, exist_ok=True)
-    # a rebuild invalidates EVERYTHING derived from the old corpus:
-    # segments, delta segments, AND append markers (a stale marker would
-    # silently skip a re-append of the same batch after the rebuild)
-    for stale in (
-        list(out.glob("bucket=*.parquet"))
-        + list(out.glob("tombstone-*.parquet"))
-        + list(out.glob("append.*.json"))
-        + list(out.glob("delete.*.json"))
-        + list(out.glob("*.tmp"))
-    ):
-        stale.unlink()
-
-    parts = _explode_positions(documents, n_buckets)
-
-    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["bucket"].iloc[0])
-        tbl = _encode_bucket_rows(b, group)
-        tmp = out / f"bucket={b:05d}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        tmp.rename(out / f"bucket={b:05d}.parquet")
-        return pd.DataFrame({"bucket": [b], "n_terms": [len(tbl)]})
-
-    manifest_rows = (
-        parts.groupby("bucket").map_groups(write_bucket, batch_format="pandas").to_pandas()
-    )
+    store = _store(out)
+    store.reset()
+    manifest_rows = _write_buckets(store, documents, n_buckets, seq=None)
     m = {
         "input_token": input_token,
         "n_buckets": int(n_buckets),
@@ -130,45 +121,44 @@ def build_positional_index(
     return m
 
 
-def _delta_seq(f: Path) -> int:
-    return int(f.name.rsplit("delta-", 1)[1].split(".")[0])
+def _rows(tbl: pa.Table) -> pa.Table:
+    """POS_SCHEMA rows → _ROWS_SCHEMA rows, one per (term, doc)."""
+    terms, docs, cnts, flats = [], [], [], []
+    for row in tbl.select(["term", "df", "doc_bytes", "cnt_bytes", "pos_bytes"]).to_pylist():
+        d, c, f = _decode_row(row)
+        terms.append(row["term"])
+        docs.append(d)
+        cnts.append(c)
+        flats.append(f)
+    if not terms:
+        return _ROWS_SCHEMA.empty_table()
+    cnt = np.concatenate(cnts)
+    offsets = np.zeros(len(cnt) + 1, np.int64)
+    np.cumsum(cnt, out=offsets[1:])
+    run = np.repeat(np.arange(len(terms)), [len(d) for d in docs])
+    return pa.table(
+        {
+            "term": pa.array(terms, pa.string()).take(pa.array(run)),
+            "doc_id": pa.array(np.concatenate(docs), pa.int64()),
+            "positions": pa.LargeListArray.from_arrays(
+                pa.array(offsets), pa.array(np.concatenate(flats), pa.int64())
+            ),
+        },
+        schema=_ROWS_SCHEMA,
+    )
 
 
-def _base_seq(f: Path) -> int:
-    """LSM seq a base bucket file is current through: −1 for a fresh
-    build, else the max folded seq recorded (atomically, inside the
-    parquet file itself) by compaction."""
-    meta = pq.read_schema(f).metadata or {}
-    return int(meta.get(b"base_seq", b"-1"))
-
-
-def _tombstones(out: Path) -> list[tuple[int, np.ndarray]]:
-    """All live tombstone segments as (seq, sorted unique doc ids)."""
-    tombs = []
-    for f in sorted(out.glob("tombstone-*.parquet")):
-        seq = int(f.name.split("-", 1)[1].split(".")[0])
-        ids = pq.read_table(f, columns=["doc_id"]).column("doc_id").to_numpy()
-        tombs.append((seq, np.unique(ids.astype(np.int64))))
-    return tombs
-
-
-def _dead_union(tombs, src_seq: int):
-    """Union of tombstoned doc ids that apply to a segment written at
-    ``src_seq`` — only deletes issued AFTER the segment kill its docs,
-    so a delete→re-add sequence keeps the re-added doc."""
-    rel = [a for s, a in (tombs or []) if s > src_seq]
-    if not rel:
-        return None
-    return rel[0] if len(rel) == 1 else np.unique(np.concatenate(rel))
-
-
-def _filter_tombstoned(docs, cnts, flat, dead):
-    if dead is None or not len(docs):
-        return docs, cnts, flat
-    keep = ~np.isin(docs, dead)
-    if keep.all():
-        return docs, cnts, flat
-    return docs[keep], cnts[keep], flat[np.repeat(keep, cnts)]
+def _merge_bucket(store: SegmentStore, segs, tombs, term: str | None = None):
+    """THE positional merge, shared by every read path and compaction:
+    one bucket's base + delta posting rows (only ``term``'s when given)
+    → (term, doc_id, positions) rows sorted by (term, doc_id), with the
+    docs a later tombstone kills dropped per segment seq."""
+    filters = None if term is None else [("term", "==", term)]
+    return store.merge(
+        [(_rows(pq.read_table(f, filters=filters)), seq) for f, seq in segs],
+        ("term", "doc_id"),
+        tombs,
+    )
 
 
 def _load_term(out: Path, n_buckets: int, term: str, tombs=None, as_of=None):
@@ -178,8 +168,8 @@ def _load_term(out: Path, n_buckets: int, term: str, tombs=None, as_of=None):
     doc-order interleave), with tombstoned docs filtered out per
     segment seq (a tombstone kills only docs written before it).
     ``as_of`` (a seq number) gives a POINT-IN-TIME read: delta segments
-    newer than it are skipped (the caller filters tombstones the same
-    way); a base file whose compaction already folded newer seqs raises
+    newer than it are skipped and only tombstones issued by then apply;
+    a base file whose compaction already folded newer seqs raises
     — that history is physically gone (Lucene PIT-reader semantics:
     time travel only reaches still-present segments)."""
     b = int(md5_u64([term])[0] % np.uint64(n_buckets))
@@ -199,65 +189,18 @@ def _load_doclens(out: Path, n_buckets: int, tombs=None):
 
 
 def _load_posting(out: Path, b: int, term: str, tombs=None, as_of=None):
-    files = [out / f"bucket={b:05d}.parquet"] + sorted(
-        out.glob(f"bucket={b:05d}.delta-*.parquet")
-    )
-    docs_l, cnts_l, flat_l = [], [], []
-    for f in files:
-        if not f.exists():
-            continue
-        if as_of is not None:
-            src_seq = _base_seq(f) if "delta-" not in f.name else _delta_seq(f)
-            if src_seq > as_of:
-                if "delta-" not in f.name:
-                    raise ValueError(
-                        f"as_of={as_of}: base segment {f.name} is current "
-                        f"through seq {src_seq} — compaction folded that "
-                        "history away; point-in-time reads only reach "
-                        "still-present segments"
-                    )
-                continue  # delta newer than the read point
-        tbl = pq.read_table(f, filters=[("term", "==", term)])
-        if not len(tbl):
-            continue
-        d, c, fl = _decode_row(tbl.to_pylist()[0])
-        if tombs:
-            src_seq = _base_seq(f) if "delta-" not in f.name else _delta_seq(f)
-            d, c, fl = _filter_tombstoned(d, c, fl, _dead_union(tombs, src_seq))
-        if not len(d):
-            continue
-        docs_l.append(d)
-        cnts_l.append(c)
-        flat_l.append(fl)
-    if not docs_l:
+    store = _store(out)
+    if tombs is None:
+        tombs = store.tombstones(as_of)
+    rows = _merge_bucket(store, store.segments(_key(b), as_of), tombs, term)
+    if rows is None or not len(rows):
         return None
-    if len(docs_l) == 1:
-        return docs_l[0], cnts_l[0], flat_l[0]
-    docs = np.concatenate(docs_l)
-    cnts = np.concatenate(cnts_l)
-    order = np.argsort(docs, kind="stable")
-    # drop duplicated doc rows, keeping the FIRST in (base, delta…) file
-    # order: appends only carry NEW ids, so a duplicate can only be a
-    # delta whose content was already folded by a compaction interrupted
-    # between base rename and delta unlink — identical data either way
-    sd = docs[order]
-    if len(sd) > 1:
-        keep = np.empty(len(sd), dtype=bool)
-        keep[0] = True
-        np.not_equal(sd[1:], sd[:-1], out=keep[1:])
-        order = order[keep]
-    offs_src, pos_off = [], 0
-    for d_arr, c_arr in zip(docs_l, cnts_l):
-        offs_src.append(np.cumsum(c_arr) - c_arr + pos_off)
-        pos_off += int(c_arr.sum())
-    offs_all = np.concatenate(offs_src)
-    flat_all = np.concatenate(flat_l)
-    flat = (
-        np.concatenate([flat_all[offs_all[i] : offs_all[i] + cnts[i]] for i in order])
-        if len(order)
-        else np.empty(0, np.int64)
+    pos = rows.column("positions")
+    return (
+        rows.column("doc_id").to_numpy(),
+        pc.list_value_length(pos).to_numpy().astype(np.int64),
+        pc.list_flatten(pos).to_numpy(),
     )
-    return docs[order], cnts[order], flat
 
 
 def phrase_search(
@@ -281,9 +224,7 @@ def phrase_search(
         norm = norm.combine_chunks()
     phrase_terms = [[t for t in row if t] for row in norm.to_pylist()]
 
-    tombs = [
-        (s, a) for s, a in _tombstones(out) if as_of is None or s <= as_of
-    ]
+    tombs = _store(out).tombstones(as_of)
     cache: dict[str, tuple | None] = {}
 
     def load(t: str):
@@ -361,7 +302,7 @@ def proximity_search(
     if len(normed[0]) != 1 or len(normed[1]) != 1:
         return empty
     term_a, term_b = normed[0][0], normed[1][0]
-    tombs = _tombstones(out)
+    tombs = _store(out).tombstones()
     pa_post = _load_term(out, nb, term_a, tombs)
     pb_post = _load_term(out, nb, term_b, tombs)
     if pa_post is None or pb_post is None or window < 1:
@@ -420,7 +361,7 @@ def near_search(
     )
     if not flat_terms or window < 0:
         return empty
-    tombs = _tombstones(out)
+    tombs = _store(out).tombstones()
     posts = [_load_term(out, nb, t, tombs) for t in flat_terms]
     if any(p is None for p in posts):
         return empty
@@ -525,7 +466,7 @@ def phrase_boost_topk(
     out = Path(index_dir)
     m = json.loads((out / "manifest.json").read_text())
     nb = int(m["n_buckets"])
-    tombs = _tombstones(out)
+    tombs = _store(out).tombstones()
     norm = token_lists(pa.array([query], pa.string()))
     if isinstance(norm, pa.ChunkedArray):
         norm = norm.combine_chunks()
@@ -606,7 +547,7 @@ def sdm_bm25_topk(
     if not m.get("doclens"):
         raise ValueError("index predates doclen rows — rebuild required")
     nb = int(m["n_buckets"])
-    tombs = _tombstones(out)
+    tombs = _store(out).tombstones()
     dl_docs, dl_vals = _load_doclens(out, nb, tombs)
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
@@ -749,205 +690,69 @@ def _encode_bucket_rows(b: int, group: pd.DataFrame) -> pa.Table:
     return pa.table({n: pa.array(rows[n], POS_SCHEMA.field(n).type) for n in POS_SCHEMA.names})
 
 
+def _write_buckets(store: SegmentStore, documents: rd.Dataset, n_buckets: int, seq):
+    """Tokenize → one term-bucket exchange → one encoded segment per
+    touched bucket: its base (``seq`` None) or its delta at ``seq``."""
+
+    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+        b = int(group["bucket"].iloc[0])
+        tbl = _encode_bucket_rows(b, group)
+        store.write(_key(b), tbl, seq)
+        return pd.DataFrame({"bucket": [b], "n_terms": [len(tbl)]})
+
+    parts = _explode_positions(documents, n_buckets)
+    return parts.groupby("bucket").map_groups(write_bucket, batch_format="pandas").to_pandas()
+
+
 def append_documents(
     index_dir: str, documents: rd.Dataset, input_token: str | None = None
 ) -> dict:
     """LSM-style micro-batch append: tokenize the NEW documents (doc ids
     must be new — the caller's versioning contract, as in the main
-    engine's updater) and write one DELTA segment file per touched
-    bucket (``bucket=NNNNN.delta-SSSS.parquet``, atomic tmp+rename).
+    engine's updater) and write one delta segment per touched bucket.
     Queries merge base + deltas per term at read time; ``compact``
-    folds deltas into the base. Same-token re-appends are skipped
-    (marker file per append)."""
+    folds deltas into the base. Same-token re-appends are skipped."""
     out = Path(index_dir)
-    m = json.loads((out / "manifest.json").read_text())
-    nb = int(m["n_buckets"])
-    if input_token is not None:
-        marker = out / f"append.{hash_token(input_token)}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    seq = _next_seq(out)
+    nb = int(json.loads((out / "manifest.json").read_text())["n_buckets"])
+    store = _store(out)
 
-    parts = _explode_positions(documents, nb)
+    def run() -> dict:
+        seq = store.next_seq()
+        rows = _write_buckets(store, documents, nb, seq)
+        return {"seq": seq, "n_buckets_touched": int(len(rows)),
+                "n_terms": int(rows["n_terms"].sum()) if len(rows) else 0}
 
-    def write_delta(group: pd.DataFrame) -> pd.DataFrame:
-        b = int(group["bucket"].iloc[0])
-        tbl = _encode_bucket_rows(b, group)
-        tmp = out / f"bucket={b:05d}.delta-{seq:04d}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        tmp.rename(out / f"bucket={b:05d}.delta-{seq:04d}.parquet")
-        return pd.DataFrame({"bucket": [b], "n_terms": [len(tbl)]})
-
-    rows = parts.groupby("bucket").map_groups(write_delta, batch_format="pandas").to_pandas()
-    res = {"seq": seq, "n_buckets_touched": int(len(rows)),
-           "n_terms": int(rows["n_terms"].sum()) if len(rows) else 0}
-    if input_token is not None:
-        mt = out / f"append.{hash_token(input_token)}.json.tmp"
-        mt.write_text(json.dumps(res))
-        mt.rename(out / f"append.{hash_token(input_token)}.json")
-    return res
-
-
-def hash_token(token: str) -> str:
-    import hashlib as _hl
-
-    return _hl.md5(token.encode("utf-8")).hexdigest()[:10]
-
-
-def _next_seq(out: Path) -> int:
-    """Next LSM seq — shared between delta segments and tombstones so a
-    tombstone's position in the append/delete order is total."""
-    seqs = [_delta_seq(f) for f in out.glob("bucket=*.delta-*.parquet")] + [
-        s for s, _ in _tombstones(out)
-    ]
-    return (max(seqs) + 1) if seqs else 0
+    return store.once("append", input_token, run)
 
 
 def delete_documents(
     index_dir: str, doc_ids, input_token: str | None = None
 ) -> dict:
-    """LSM delete: write one tombstone segment (atomic tmp+rename) that
-    kills the given doc ids in every segment written BEFORE it — a later
-    ``append_documents`` may re-add an id and it stays live (the main
-    engine's kill-map semantics, ``state/updater.py``). Queries filter
-    at read time; ``compact_positional_index`` folds tombstones into the
-    base files and removes them. Same-token re-deletes are skipped."""
-    out = Path(index_dir)
-    if input_token is not None:
-        marker = out / f"delete.{hash_token(input_token)}.json"
-        if marker.exists():
-            return json.loads(marker.read_text())
-    ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
-    seq = _next_seq(out)
-    tbl = pa.table({"doc_id": pa.array(ids, pa.int64())})
-    tmp = out / f"tombstone-{seq:04d}.parquet.tmp"
-    pq.write_table(tbl, tmp, compression="zstd")
-    tmp.rename(out / f"tombstone-{seq:04d}.parquet")
-    res = {"seq": seq, "n_tombstoned": int(len(ids))}
-    if input_token is not None:
-        mt = out / f"delete.{hash_token(input_token)}.json.tmp"
-        mt.write_text(json.dumps(res))
-        mt.rename(out / f"delete.{hash_token(input_token)}.json")
-    return res
+    """LSM delete: one tombstone that kills the given doc ids in every
+    segment written BEFORE it — a later ``append_documents`` may re-add
+    an id and it stays live (the main engine's kill-map semantics,
+    ``state/updater.py``). Queries filter at read time;
+    ``compact_positional_index`` folds tombstones into the base files
+    and removes them. Same-token re-deletes are skipped."""
+    return _store(index_dir).delete(doc_ids, input_token)
 
 
 def compact_positional_index(index_dir: str) -> dict:
-    """Fold every delta segment into its base bucket file (one Ray task
-    per touched bucket — buckets are independent vocabulary shards), then
-    remove the deltas. Query results are identical before and after
-    (tested); crash-safe via tmp+rename — a re-run after interruption
-    redoes only surviving deltas."""
-    import ray
+    """Fold every delta segment and tombstone into the base bucket files
+    (one Ray task per touched bucket — buckets are independent
+    vocabulary shards; ``state/segments.py`` owns the lifecycle). Query
+    results are identical before and after (tested); a re-run after an
+    interruption converges."""
+    store = _store(index_dir)
 
-    out = Path(index_dir)
-    tombs = _tombstones(out)
-    touched = {f.name.split(".")[0] for f in out.glob("bucket=*.delta-*.parquet")}
-    if tombs:
-        # a tombstone can kill docs in ANY bucket — fold into every base
-        touched |= {
-            f.name.split(".")[0]
-            for f in out.glob("bucket=*.parquet")
-            if "delta-" not in f.name
-        }
-    touched = sorted(touched)
-    if not touched:
+    def fold(key: str, segs, tombs) -> pa.Table:
+        rows = _merge_bucket(store, segs, tombs)
+        return _encode_bucket_rows(int(key.split("=")[1]), rows.to_pandas())
+
+    counts = store.compact(fold)
+    if not counts:
         return {"n_buckets_compacted": 0}
-    # every compacted base becomes current through the global max seq:
-    # all surviving deltas are folded and all tombstones applied
-    all_seqs = [_delta_seq(f) for f in out.glob("bucket=*.delta-*.parquet")] + [
-        s for s, _ in tombs
-    ]
-    fold_seq = max(all_seqs) if all_seqs else None
-
-    @ray.remote
-    def compact_bucket(bucket_prefix: str) -> int:
-        base = out / f"{bucket_prefix}.parquet"
-        deltas = sorted(out.glob(f"{bucket_prefix}.delta-*.parquet"))
-        tables = []
-        if base.exists():
-            tables.append((pq.read_table(base), _base_seq(base)))
-        tables += [(pq.read_table(f), _delta_seq(f)) for f in deltas]
-        merged: dict[str, list[tuple[dict, int]]] = {}
-        b = None
-        for t, src_seq in tables:
-            for row in t.to_pylist():
-                b = row["bucket"]
-                merged.setdefault(row["term"], []).append((row, src_seq))
-        rows: dict[str, list] = {n: [] for n in POS_SCHEMA.names}
-        for term in sorted(merged):
-            parts_rows = merged[term]
-            docs_l, cnts_l, flat_l = [], [], []
-            for r, src_seq in parts_rows:
-                d, c, f = _decode_row(r)
-                d, c, f = _filter_tombstoned(d, c, f, _dead_union(tombs, src_seq))
-                if not len(d):
-                    continue
-                docs_l.append(d)
-                cnts_l.append(c)
-                flat_l.append(f)
-            if not docs_l:
-                continue
-            docs = np.concatenate(docs_l)
-            cnts = np.concatenate(cnts_l)
-            order = np.argsort(docs, kind="stable")
-            # duplicates arise only from a compaction interrupted
-            # between base rename and delta unlink (appends carry new
-            # ids) — keep the first (base) copy so a re-run converges
-            # instead of raising
-            sd = docs[order]
-            if len(sd) > 1:
-                keep = np.empty(len(sd), dtype=bool)
-                keep[0] = True
-                np.not_equal(sd[1:], sd[:-1], out=keep[1:])
-                order = order[keep]
-            # rebuild flat positions in merged doc order
-            offs_src = []
-            pos_off = 0
-            for d_arr, c_arr in zip(docs_l, cnts_l):
-                o = np.cumsum(c_arr) - c_arr + pos_off
-                offs_src.append(o)
-                pos_off += int(c_arr.sum())
-            offs_all = np.concatenate(offs_src)
-            flat_all = np.concatenate(flat_l)
-            flat_parts = [
-                flat_all[offs_all[i] : offs_all[i] + cnts[i]] for i in order
-            ]
-            docs, cnts = docs[order], cnts[order]
-            flat = np.concatenate(flat_parts) if flat_parts else np.empty(0, np.int64)
-            offs = np.cumsum(cnts) - cnts
-            deltas_p = np.diff(flat, prepend=0)
-            if len(offs):
-                deltas_p[offs] = flat[offs]
-            gaps = np.diff(docs.astype(np.uint64), prepend=np.uint64(0))
-            rows["bucket"].append(int(b))
-            rows["term"].append(term)
-            rows["df"].append(int(len(docs)))
-            rows["cf"].append(int(cnts.sum()))
-            rows["doc_bytes"].append(varbyte_encode(gaps))
-            rows["cnt_bytes"].append(varbyte_encode(cnts.astype(np.uint64)))
-            rows["pos_bytes"].append(varbyte_encode(deltas_p.astype(np.uint64)))
-        tbl = pa.table(
-            {n: pa.array(rows[n], POS_SCHEMA.field(n).type) for n in POS_SCHEMA.names}
-        )
-        if fold_seq is not None:
-            # record the fold point INSIDE the base file (atomic with the
-            # data): a crash between bucket renames and tombstone unlink
-            # must not re-kill docs re-added after the tombstone
-            tbl = tbl.replace_schema_metadata({b"base_seq": str(fold_seq).encode()})
-        tmp = out / f"{bucket_prefix}.parquet.tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        tmp.rename(out / f"{bucket_prefix}.parquet")
-        for f in deltas:
-            f.unlink()
-        return len(tbl)
-
-    counts = ray.get([compact_bucket.remote(p) for p in touched])
-    # tombstones are folded into every base — safe to drop only AFTER
-    # all bucket renames land (a crash above re-applies survivors
-    # idempotently; base_seq keeps re-added docs alive)
-    for f in out.glob("tombstone-*.parquet"):
-        f.unlink()
-    return {"n_buckets_compacted": len(touched), "n_terms": int(sum(counts))}
+    return {"n_buckets_compacted": len(counts), "n_terms": int(sum(counts.values()))}
 
 
 def _decode_row(row: dict):
@@ -971,147 +776,53 @@ _CHAMPION_SCHEMA = pa.schema(
 )
 
 
-def _champion_topk_rows(term: str, docs: np.ndarray, cnts: np.ndarray, k: int):
-    order = np.lexsort((docs, -cnts))[: max(int(k), 0)]
-    return (
-        [term] * len(order), docs[order], cnts[order],
-        np.arange(1, len(order) + 1, dtype=np.int64),
-    )
-
-
-def _champion_lists_lsm(out: Path, nb: int, k: int, tombs) -> rd.Dataset:
-    """Champion lists over a LIVE index (deltas/tombstones present):
-    one task per bucket merges that bucket's base + delta posting rows
-    per term — decode stops at (doc gaps, tfs), positions stay encoded
-    — and drops tombstoned docs per segment seq. Tombstones are tiny
-    (kill sets) and ship once via ``ray.put``."""
-    import ray as _ray
-
-    tombs_ref = _ray.put(tombs)
-
-    def bucket_topk(batch: pa.Table) -> pa.Table:
-        tombs_l = _ray.get(tombs_ref)
-        terms_out: list[str] = []
-        docs_out, tfs_out, ranks_out = [], [], []
-        for b in batch.column("bucket").to_pylist():
-            files: list[tuple[Path, int]] = []
-            base = out / f"bucket={b:05d}.parquet"
-            if base.exists():
-                files.append((base, _base_seq(base)))
-            files += [
-                (f, _delta_seq(f))
-                for f in sorted(out.glob(f"bucket={b:05d}.delta-*.parquet"))
-            ]
-            merged: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-            for f, seq in files:
-                tbl = pq.read_table(f, columns=["term", "df", "doc_bytes", "cnt_bytes"])
-                dead = _dead_union(tombs_l, seq)
-                for row in tbl.to_pylist():
-                    if row["term"] == DOCLEN_TERM:
-                        continue
-                    df = int(row["df"])
-                    docs = np.cumsum(
-                        varbyte_decode(row["doc_bytes"], count=df).astype(np.int64)
-                    )
-                    cnts = varbyte_decode(row["cnt_bytes"], count=df).astype(np.int64)
-                    if dead is not None and len(docs):
-                        keep = ~np.isin(docs, dead)
-                        docs, cnts = docs[keep], cnts[keep]
-                    if len(docs):
-                        merged.setdefault(row["term"], []).append((docs, cnts))
-            for term in sorted(merged):
-                segs = merged[term]
-                if len(segs) == 1:
-                    docs, cnts = segs[0]
-                else:
-                    docs = np.concatenate([d for d, _ in segs])
-                    cnts = np.concatenate([c for _, c in segs])
-                    order = np.argsort(docs, kind="stable")
-                    # duplicates only from a compaction interrupted between
-                    # base rename and delta unlink — keep the first copy
-                    sd = docs[order]
-                    if len(sd) > 1:
-                        keep = np.empty(len(sd), dtype=bool)
-                        keep[0] = True
-                        np.not_equal(sd[1:], sd[:-1], out=keep[1:])
-                        order = order[keep]
-                    docs, cnts = docs[order], cnts[order]
-                t, d, c, r = _champion_topk_rows(term, docs, cnts, k)
-                terms_out.extend(t)
-                docs_out.append(d)
-                tfs_out.append(c)
-                ranks_out.append(r)
-        if not terms_out:
-            return _CHAMPION_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "term": pa.array(terms_out, pa.string()),
-                "doc_id": pa.array(np.concatenate(docs_out), pa.int64()),
-                "tf": pa.array(np.concatenate(tfs_out), pa.int64()),
-                "rank": pa.array(np.concatenate(ranks_out), pa.int64()),
-            }
-        )
-
-    return rd.from_items([{"bucket": b} for b in range(nb)]).map_batches(
-        bucket_topk, batch_size=1, batch_format="pyarrow"
-    )
-
-
 def champion_lists(index_dir: str, k: int = 5) -> rd.Dataset:
     """→ Dataset (term, doc_id, tf, rank): the ``k`` highest-tf docs per
     term (ties on doc_id asc) — impact-ordered "champion lists"
     (Manning/Raghavan/Schütze IIR §7.1.3), the classic index-side
     pre-selection that lets top-k serving touch k docs instead of df.
 
-    Runs as ONE distributed map over the index's own bucket segments
-    (each batch decodes its posting rows and emits ≤ k rows per term) —
-    the corpus is never read and nothing term-shaped shuffles: the
-    index IS already term-partitioned. Under live LSM deltas/tombstones
-    the unit of distribution becomes the BUCKET instead of the file —
-    a term lives in exactly one bucket, so the cross-file merge state
-    the per-file map cannot see is bucket-local: each bucket task
-    interleave-merges its base + delta rows per term (docs/tfs only;
-    positions are never decoded) and filters tombstones per segment
-    seq, giving the same answer a compaction-then-scan would."""
+    Runs as ONE distributed map over the index's own buckets — the
+    corpus is never read and nothing term-shaped shuffles: the index IS
+    already term-partitioned, and a term lives in exactly one bucket, so
+    each bucket task merges its base + delta rows per term (the same
+    merge compaction runs, tombstones applied per segment seq) and
+    gives the answer a compaction-then-scan would."""
     out = Path(index_dir)
-    m = json.loads((out / "manifest.json").read_text())
-    nb = int(m["n_buckets"])
-    tombs = _tombstones(out)
-    if list(out.glob("bucket=*.delta-*.parquet")) or tombs:
-        return _champion_lists_lsm(out, nb, k, tombs)
-    files = [str(out / f"bucket={b:05d}.parquet") for b in range(nb)]
-    files = [f for f in files if Path(f).exists()]
+    nb = int(json.loads((out / "manifest.json").read_text())["n_buckets"])
+    store = _store(out)
 
-    def topk(batch: pa.Table) -> pa.Table:
-        terms_out, docs_out, tfs_out, ranks_out = [], [], [], []
-        for row in batch.to_pylist():
-            if row["term"] == DOCLEN_TERM:
+    def bucket_topk(batch: pa.Table) -> pa.Table:
+        tables = []
+        for b in batch.column("bucket").to_pylist():
+            rows = _merge_bucket(store, store.segments(_key(b)), store.tombstones())
+            if rows is None or not len(rows):
                 continue
-            docs, cnts, _ = _decode_row(row)
-            order = np.lexsort((docs, -cnts))[: max(int(k), 0)]
-            terms_out.extend([row["term"]] * len(order))
-            docs_out.append(docs[order])
-            tfs_out.append(cnts[order])
-            ranks_out.append(np.arange(1, len(order) + 1, dtype=np.int64))
-        if not terms_out:
-            return pa.table(
-                {
-                    "term": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "tf": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                }
+            terms = rows.column("term").combine_chunks()
+            # rows are term-sorted, so first-seen codes ascend with the term
+            codes = terms.dictionary_encode().indices.to_numpy(zero_copy_only=False)
+            docs = rows.column("doc_id").to_numpy()
+            tfs = pc.list_value_length(rows.column("positions")).to_numpy().astype(np.int64)
+            order = np.lexsort((docs, -tfs, codes))
+            sc = codes[order]
+            rank = np.arange(len(sc)) - np.searchsorted(sc, sc, side="left") + 1
+            sel = order[rank <= k]
+            tables.append(
+                pa.table(
+                    {
+                        "term": terms.take(pa.array(sel)),
+                        "doc_id": pa.array(docs[sel], pa.int64()),
+                        "tf": pa.array(tfs[sel], pa.int64()),
+                        "rank": pa.array(rank[rank <= k], pa.int64()),
+                    },
+                    schema=_CHAMPION_SCHEMA,
+                )
             )
-        return pa.table(
-            {
-                "term": pa.array(terms_out, pa.string()),
-                "doc_id": pa.array(np.concatenate(docs_out), pa.int64()),
-                "tf": pa.array(np.concatenate(tfs_out), pa.int64()),
-                "rank": pa.array(np.concatenate(ranks_out), pa.int64()),
-            }
-        )
+        return pa.concat_tables(tables) if tables else _CHAMPION_SCHEMA.empty_table()
 
-    return rd.read_parquet(files).map_batches(topk, batch_format="pyarrow")
+    return rd.from_items([{"bucket": b} for b in range(nb)]).map_batches(
+        bucket_topk, batch_size=1, batch_format="pyarrow"
+    )
 
 
 def champion_topk(
@@ -1131,7 +842,7 @@ def champion_topk(
     if not m.get("doclens"):
         raise ValueError("index predates doclen rows — rebuild required")
     nb = int(m["n_buckets"])
-    tombs = _tombstones(out)
+    tombs = _store(out).tombstones()
     dl_docs, _dl_vals = _load_doclens(out, nb, tombs)
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}

@@ -189,6 +189,31 @@ def weighted_sample_topk(
     )
 
 
+def nb_log_weights(cnt, cnt_tot, tot, n_docs, v_size: int, n_train: int, scale: int):
+    """The Naive Bayes fixed-point logs, computed by DuckDB — the engine
+    the SQL oracle runs — over the vocabulary-sized model table, so no
+    weight depends on two libms agreeing to the last ULP at a floor
+    boundary. → (L per (class, term) count row, L0 per class, prior per
+    class), int64: floor(ln((cnt+1)/(tot+V))·scale),
+    floor(ln(1/(tot+V))·scale) and floor(ln(n_c/n_train)·scale), in the
+    oracle's exact SQL types."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("lw", pa.table({"c": np.asarray(cnt, np.int64), "tot": np.asarray(cnt_tot, np.int64)}))
+    con.register("cls", pa.table({"tot": np.asarray(tot, np.int64), "n": np.asarray(n_docs, np.int64)}))
+    sql = (
+        f"SELECT floor(ln((c + 1)::DOUBLE / (tot + {int(v_size)}::BIGINT)) * {int(scale)})::BIGINT"
+        " AS v FROM lw",
+        f"SELECT floor(ln(1.0 / (tot + {int(v_size)}::BIGINT)) * {int(scale)})::BIGINT AS v FROM cls",
+        f"SELECT floor(ln(n::DOUBLE / {int(n_train)}::BIGINT) * {int(scale)})::BIGINT AS v FROM cls",
+    )
+    try:
+        return tuple(con.execute(q).fetchnumpy()["v"].astype(np.int64) for q in sql)
+    finally:
+        con.close()
+
+
 def nb_classify(
     documents: rd.Dataset,
     *,
@@ -203,9 +228,9 @@ def nb_classify(
     the rest are scored → (doc_id, pred_source, score).
 
     Deterministic INTEGER fixed point (the TextRank trick): every log
-    is ``floor(ln(x) · scale)`` as int64 — floor (not round) so numpy
-    and DuckDB agree bit-for-bit regardless of rounding mode — and a
-    doc's class score
+    is ``floor(ln(x) · scale)`` as int64, computed by DuckDB over the
+    model table (``nb_log_weights``: the oracle's ln, not a second
+    libm's), and a doc's class score
 
         score(d,c) = prior(c) + Σ_t tf(d,t) · L(c,t)
 
@@ -306,19 +331,11 @@ def nb_classify(
     tot_c = np.zeros(len(classes), np.int64)
     np.add.at(tot_c, [c_index[s] for s in m_src], m_cnt)
 
-    # integer fixed-point weights: floor on BOTH sides (numpy / DuckDB)
-    L = np.empty((len(classes), v_size), np.int64)
-    denom = (tot_c + v_size).astype(np.float64)
-    l0 = np.floor(np.log(1.0 / denom) * scale).astype(np.int64)
-    L[:] = l0[:, None]
     rows = np.asarray([c_index[s] for s in m_src], np.int64)
-    cols = v_index.get_indexer(m_term)
-    L[rows, cols] = np.floor(
-        np.log((m_cnt + 1).astype(np.float64) / denom[rows]) * scale
-    ).astype(np.int64)
-    prior = np.floor(
-        np.log(n_c.astype(np.float64) / float(n_train)) * scale
-    ).astype(np.int64)
+    lw, l0, prior = nb_log_weights(m_cnt, tot_c[rows], tot_c, n_c, v_size, n_train, scale)
+    L = np.empty((len(classes), v_size), np.int64)
+    L[:] = l0[:, None]
+    L[rows, v_index.get_indexer(m_term)] = lw
 
     model_ref = [ray.put((vocab, L, l0, prior, np.asarray(classes, dtype=object)))]
 

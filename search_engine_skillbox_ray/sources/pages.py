@@ -316,8 +316,6 @@ def compute_dup_winners(
         have = _pq.read_schema(next(iter(sorted(Path(pages).glob("*.parquet"))))).names
         cols = [c for c in ("url", "warc_ts") if c in have]
         pages = rd.read_parquet(pages, columns=cols)
-    else:
-        cols = [c for c in ("url", "warc_ts") if c in pages.schema().names]
     norm_roots = [(int(s["site_id"]), normalize_url(s["url"])) for s in sites]
 
     keys = pages.map_batches(

@@ -10,7 +10,7 @@ signature stage: 0.47 s warm as cached tasks vs 1.71 s as a fresh
 ``concurrency=(1, 8)`` actor pool.
 
 The cache must be reached through the IMPORTED module at call time
-(``import ... as _tp; _tp._KERNEL_CACHE``): cloudpickle serializes the
+(``import ... as _tp; _tp._cached_kernel``): cloudpickle serializes the
 nested ``kernel_fn`` by value with its own captured globals, so a bare
 module-global reference would deserialize into a per-closure dict and
 silently reduce the cache to per-pipeline scope (empirically verified —
@@ -30,8 +30,24 @@ from typing import Any
 import pyarrow as pa
 import ray.data as rd
 
-# per-worker-process kernel instances, keyed by (class, kwargs)
+# per-worker-process kernel instances, keyed by (class, kwargs), in
+# insertion order; at most _MAX_PER_CLASS per class (a long-lived worker
+# serving many parameterizations would otherwise keep every instance)
 _KERNEL_CACHE: dict = {}
+_MAX_PER_CLASS = 4
+
+
+def _cached_kernel(key: tuple, cls: type, kw: tuple):
+    """This process's ``cls(**dict(kw))`` for ``key``, built on a miss;
+    a miss beyond ``_MAX_PER_CLASS`` instances of ``cls`` evicts the
+    oldest of them."""
+    kern = _KERNEL_CACHE.get(key)
+    if kern is None:
+        same = [k for k in _KERNEL_CACHE if k[:2] == key[:2]]
+        for k in same[: max(0, len(same) - _MAX_PER_CLASS + 1)]:
+            del _KERNEL_CACHE[k]
+        kern = _KERNEL_CACHE[key] = cls(**dict(kw))
+    return kern
 
 
 def cached_kernel_map(
@@ -56,11 +72,7 @@ def cached_kernel_map(
         # the module docstring for why a bare global won't do
         from search_engine_skillbox_ray.stages import taskpool as _tp
 
-        kern = _tp._KERNEL_CACHE.get(_key)
-        if kern is None:
-            kern = _cls(**dict(_kw))
-            _tp._KERNEL_CACHE[_key] = kern
-        return kern(batch)
+        return _tp._cached_kernel(_key, _cls, _kw)(batch)
 
     mb_kwargs: dict[str, Any] = {"batch_format": batch_format}
     if batch_size is not None:

@@ -1498,6 +1498,51 @@ def test_nb_classify_separable(ray_session):
     assert out.loc[40, "pred_source"] in {"alpha", "beta"}
 
 
+def test_nb_log_weights_equal_duckdb_oracle(docs_ds):
+    """The NB fixed-point weights are DuckDB's floor(ln(x)·1e6) on every
+    real ratio of the test corpus's model — (c+1)/(tot+V) per (class, term),
+    1/(tot+V) and n_c/n_train per class — written with the oracle's SQL
+    expressions, so a second libm can no longer move a weight by one at
+    a floor boundary."""
+    import duckdb
+
+    from search_engine_skillbox_ray.pipelines.selection import nb_log_weights
+
+    con = duckdb.connect()
+    con.register("documents", docs_ds.select_columns(["doc_id", "source", "text"]).to_pandas())
+    con.execute(
+        """
+CREATE TABLE m AS
+WITH tok AS (SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
+               '[^\\p{L}]+'), x -> x <> '')) AS term FROM documents),
+train_docs AS (SELECT doc_id, source FROM documents WHERE doc_id % 4 <> 0),
+cnt AS (SELECT d.source, t.term, count(*)::BIGINT AS c
+        FROM tok t JOIN train_docs d USING (doc_id) GROUP BY 1, 2),
+tot AS (SELECT source, sum(c)::BIGINT AS tot FROM cnt GROUP BY 1),
+vocab AS (SELECT count(DISTINCT term)::BIGINT AS v FROM cnt),
+ntr AS (SELECT count(*)::BIGINT AS n FROM train_docs),
+prior AS (SELECT source, count(*)::BIGINT AS n_c,
+            floor(ln(count(*)::DOUBLE / (SELECT n FROM ntr)) * 1000000)::BIGINT AS lp
+          FROM train_docs GROUP BY source)
+SELECT cnt.source, cnt.c, tot.tot, (SELECT v FROM vocab) AS v, (SELECT n FROM ntr) AS n_train,
+       prior.n_c, prior.lp,
+       floor(ln((c + 1)::DOUBLE / (tot + (SELECT v FROM vocab))) * 1000000)::BIGINT AS l,
+       floor(ln(1.0 / (tot + (SELECT v FROM vocab))) * 1000000)::BIGINT AS l0
+FROM cnt JOIN tot USING (source) JOIN prior USING (source)
+"""
+    )
+    m = con.execute("SELECT * FROM m ORDER BY source, c").fetchdf()
+    cls = m.drop_duplicates("source")
+    assert len(m) > 100 and len(cls) > 1
+    lw, l0, prior = nb_log_weights(
+        m["c"], m["tot"], cls["tot"], cls["n_c"], int(m["v"].iloc[0]),
+        int(m["n_train"].iloc[0]), 1_000_000,
+    )
+    assert (lw == m["l"].to_numpy()).all()
+    assert (l0 == cls["l0"].to_numpy()).all()
+    assert (prior == cls["lp"].to_numpy()).all()
+
+
 def test_sif_embed_shape_and_determinism(ray_session):
     """SIF embeddings: 4 rows per tokenful doc, zero-token docs
     dropped, identical across two runs, and frequency damping makes a

@@ -328,7 +328,6 @@ def test_delete_tombstones(ray_session, tmp_path):
     import ray.data as rd
 
     from search_engine_skillbox_ray.pipelines.posindex import (
-        _base_seq,
         build_positional_index,
         compact_positional_index,
         delete_documents,
@@ -336,6 +335,7 @@ def test_delete_tombstones(ray_session, tmp_path):
         phrase_search,
         proximity_search,
     )
+    from search_engine_skillbox_ray.state.segments import file_seq as _base_seq
 
     docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet")
 
@@ -452,13 +452,13 @@ def test_doclens_lsm_exact(posidx, tmp_path_factory):
     from search_engine_skillbox_ray.functions.tokenize import tokenize
     from search_engine_skillbox_ray.pipelines.posindex import (
         _load_doclens,
-        _tombstones,
         build_positional_index,
         append_documents,
         delete_documents,
         compact_positional_index,
         sdm_bm25_topk,
     )
+    from search_engine_skillbox_ray.state.segments import tombstones as _tombstones
 
     d, m, _ = posidx
     docs_ids, dls = _load_doclens(Path(d), m["n_buckets"])
