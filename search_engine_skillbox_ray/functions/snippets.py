@@ -19,6 +19,24 @@ Reference semantics:
   word boundary exists around them); keep the first <= 2 segments joined
   with ``" ... "``; cap at 300 chars (trim, cut at last space when past
   the midpoint) + ``"..."``; fallback = first 300 chars of the text.
+
+Cost: a hit pays for its ±60-char windows plus a few C substring scans
+and one ``lower()`` of its text, not for two regex passes over the page.
+The stored content is already extracted text, so the re-extract and the
+whitespace collapse run only when they can change it, and skipping them
+is exact:
+
+* ``_JAVA_WS_RE.sub(" ", t)`` replaces each maximal run of ASCII
+  whitespace by one space, so it returns ``t`` unchanged iff every run
+  already is a single ``" "``: ``t`` holds no ``\\t \\n \\x0b \\f \\r``
+  and no ``"  "`` (``_WS_CHANGERS``).
+* ``extract_text`` of text with no markup, entity, U+00A0, U+200B or
+  U+00AD (``_REPARSE_TRIGGERS``) yields the same characters up to ASCII
+  whitespace runs, which the collapse above normalises either way.
+
+Nothing is stored or cached per document: a second copy of the text
+would raise the engine's resident memory, and a per-doc memo only pays
+on repeated hits.
 """
 
 from __future__ import annotations
@@ -32,9 +50,18 @@ MAX_SNIPPET_LENGTH = 300
 
 # Java \s without UNICODE_CHARACTER_CLASS: ASCII whitespace only.
 _JAVA_WS_RE = re.compile(r"[ \t\n\x0b\f\r]+")
+# ``_JAVA_WS_RE.sub(" ", t)`` is the identity iff ``t`` holds none of these
+_WS_CHANGERS = ("\t", "\n", "\x0b", "\f", "\r", "  ")
 # chars whose presence forces the full Jsoup-semantics re-parse
-_NEEDS_REPARSE_RE = re.compile("[<>& ​­]")
+_REPARSE_TRIGGERS = ("<", ">", "&", "\xa0", "\u200b", "\xad")
 _ASCII_WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+
+
+def _contains_any(text: str, needles: tuple[str, ...]) -> bool:
+    for n in needles:
+        if n in text:
+            return True
+    return False
 
 
 def _java_trim(s: str) -> str:
@@ -104,15 +131,12 @@ def generate_snippet(content: str | None, query_words: list[str] | None) -> str:
     """M12: first-occurrence windows for up to two query words."""
     if content is None or not content.strip():
         return ""
-    # Jsoup.parse(content).text() is a whitespace no-op on plain text —
-    # skip the full HTML re-parse unless markup/entities/special
-    # whitespace could change the bytes (the stored content is already
-    # extracted text, so this is the hot path at result decoration).
-    if _NEEDS_REPARSE_RE.search(content) is None:
-        text = content
-    else:
-        text = extract_text(content)
-    text = _java_trim(_JAVA_WS_RE.sub(" ", text))
+    # both whole-page passes run only when they can change the text
+    # (module docstring); on stored extracted text they almost never do.
+    text = extract_text(content) if _contains_any(content, _REPARSE_TRIGGERS) else content
+    if _contains_any(text, _WS_CHANGERS):
+        text = _JAVA_WS_RE.sub(" ", text)
+    text = _java_trim(text)
     lower = text.lower()
 
     words = list(

@@ -50,9 +50,12 @@ import pyarrow.parquet as pq
 
 from ..functions.snippets import extract_title, generate_snippet
 from ..functions.tokenize import query_lemmas, query_tokens
-from ..functions.urls import normalize_url
+from ..functions.urls import build_full_url, normalize_url
 from ..stages.codec import decode_posting_list
 from ..stages.tokenizer import term_bucket
+
+# site row of a doc whose site_id is unknown to the index (never mutated)
+_NO_SITE = {"url": "", "name": ""}
 
 
 class SearchEngine:
@@ -1193,17 +1196,13 @@ class SearchEngine:
     ) -> dict:
         """Hydrated rows → the reference-shaped SearchResponse."""
         try:
-            lemmas = self._query_lemmas(query)
-            qtokens = query_tokens(query)
-            snippet_words = qtokens if qtokens else lemmas
+            snippet_words = query_tokens(query) or self._query_lemmas(query)
             data = []
             for did, sc in zip(doc_ids, scores):
                 row = docs.get(int(did))
                 if row is None:
                     continue
-                site_info = self.sites.get(int(row["site_id"]), {"url": "", "name": ""})
-                from ..functions.urls import build_full_url
-
+                site_info = self.sites.get(int(row["site_id"]), _NO_SITE)
                 item = {
                     "site": "" if self.strict_parity else site_info["url"],
                     "siteName": site_info["name"],

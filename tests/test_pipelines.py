@@ -164,7 +164,7 @@ def test_textstats(docs_ds):
         token_counts_ds,
     )
 
-    sample = docs_ds.take(5)
+    sample = docs_ds.materialize().take(5)
     tc = token_counts_ds(docs_ds).to_pandas().set_index("doc_id")
     for row in sample:
         assert tc.loc[row["doc_id"], "n_tokens"] == len(tokenize(row["text"]))
@@ -185,7 +185,7 @@ def test_ann_brute_force_and_lsh_recall(ray_session):
     import ray.data as rd
     from search_engine_skillbox_ray.pipelines.ann import brute_force_topk, lsh_topk
 
-    emb = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
+    emb = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet").materialize()
     vecs = np.asarray(emb.take(5))
     queries = np.asarray([r["embedding"] for r in emb.take(5)], dtype=np.float64)
 
@@ -279,7 +279,7 @@ def test_ann_ivf_recall(ray_session):
     import ray.data as rd
     from search_engine_skillbox_ray.pipelines.ann import brute_force_topk, ivf_topk
 
-    emb = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
+    emb = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet").materialize()
     queries = np.asarray(
         [r["embedding"] for r in sorted(emb.take(8), key=lambda r: r["vec_id"])[:5]],
         dtype=np.float64,

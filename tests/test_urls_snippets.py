@@ -1,6 +1,22 @@
 """M4-M6, M10-M12 conformance (SURVEY §5.6)."""
 
-from search_engine_skillbox_ray.functions.snippets import extract_title, generate_snippet
+import random
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from search_engine_skillbox_ray.functions.extract import extract_text
+from search_engine_skillbox_ray.functions.snippets import (
+    MAX_SNIPPET_LENGTH,
+    WINDOW,
+    _JAVA_WS_RE,
+    _extract_segment,
+    _highlight_segment,
+    _java_trim,
+    extract_title,
+    generate_snippet,
+)
 from search_engine_skillbox_ray.functions.urls import (
     build_full_url,
     extract_path,
@@ -150,3 +166,126 @@ def test_extract_links_ds(ray_session):
         ("https://site0.example/a", "https://site0.example/b"),
         ("https://site0.example/b", "https://site0.example/a"),
     }
+
+
+# --- generate_snippet equivalence: the skip-when-identity passes vs the
+# always-run passes. ``_snippet_always_passes`` is the function body
+# before the passes became conditional: the re-extract whenever a trigger
+# char occurs, the whitespace collapse always.
+
+_OLD_NEEDS_REPARSE_RE = re.compile("[<>&\xa0\u200b\xad]")
+
+
+def _snippet_always_passes(content, query_words):
+    if content is None or not content.strip():
+        return ""
+    if _OLD_NEEDS_REPARSE_RE.search(content) is None:
+        text = content
+    else:
+        text = extract_text(content)
+    text = _java_trim(_JAVA_WS_RE.sub(" ", text))
+    lower = text.lower()
+
+    words = list(
+        dict.fromkeys(
+            w.strip().lower()
+            for w in (query_words or [])
+            if w is not None and w.strip()
+        )
+    )
+
+    segments = []
+    for w in words:
+        idx = lower.find(w)
+        if idx >= 0:
+            seg = _extract_segment(text, idx, len(w))
+            segments.append(_highlight_segment(seg, w))
+            if len(segments) >= 2:
+                break
+
+    if not segments:
+        if len(text) <= MAX_SNIPPET_LENGTH:
+            return text
+        return _java_trim(text[:MAX_SNIPPET_LENGTH]) + "..."
+
+    snippet = " ... ".join(segments)
+    if len(snippet) > MAX_SNIPPET_LENGTH:
+        snippet = _java_trim(snippet[:MAX_SNIPPET_LENGTH])
+        last_space = snippet.rfind(" ")
+        if last_space > len(snippet) // 2:
+            snippet = snippet[:last_space]
+        snippet = snippet + "..."
+    return snippet
+
+
+_WORDS = [
+    "alpha", "Beta", "GAMMA", "delta_9", "x", "404", "поиск", "Индекс",
+    "слово", "ёлка", "Kelvin", "kelvin", "ſoft", "soft", "Straße",
+    "İstanbul", "istanbul", "cat", "catalog",
+]
+_SEPS = [
+    " ", " ", " ", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\f", "  ", " \t ",
+    "\xa0", "\u200b", "\xad", " &amp; ", "<b>", "</b>", " <br> ", "&",
+]
+_EDGES = ["", " ", "  ", "\n", "\t ", "\r\n", "\x0b", "\xa0"]
+
+
+def _query_pool(words):
+    return words + [w.upper() for w in words] + ["K", "k", "ſ", "s", "absent", " ", ""]
+
+
+def _assert_same(text, query):
+    assert generate_snippet(text, query) == _snippet_always_passes(text, query), (text, query)
+
+
+def test_snippet_equivalence_seeded_injected_texts():
+    # a third plain, a third with one kind of injection (so each trigger
+    # is the only one present), a third mixed
+    rng = random.Random(8)
+    for case in range(600):
+        kind = case % 3
+        one = rng.choice(_SEPS)
+        parts = [rng.choice(_EDGES)] if kind == 2 else []
+        for _ in range(rng.randint(1, 120)):
+            parts.append(rng.choice(_WORDS))
+            if kind == 0:
+                parts.append(" ")
+            elif kind == 1:
+                parts.append(one if rng.random() < 0.1 else " ")
+            else:
+                parts.append(rng.choice(_SEPS))
+        if kind == 2:
+            parts.append(rng.choice(_EDGES))
+        text = "".join(parts)
+        pool = _query_pool(_WORDS)
+        _assert_same(text, rng.sample(pool, rng.randint(0, 4)))
+
+
+def test_snippet_equivalence_window_edges():
+    # the query word sits at the text's ends, at exactly WINDOW chars from
+    # them and one char either side, with whitespace runs around the cut
+    for lead in range(WINDOW - 3, WINDOW + 4):
+        for trail in (0, 1, WINDOW - 1, WINDOW, WINDOW + 1):
+            for sep in (" ", "  ", "\t", "\r\n", "\xa0"):
+                text = ("ab" * lead)[:lead] + sep + "Target" + sep + ("cd" * trail)[:trail]
+                _assert_same(text, ["target"])
+                _assert_same(text, ["tar", "ab"])
+                _assert_same("Target" + sep + text, ["target", "cd"])
+                _assert_same(text + sep + "Target", ["TARGET"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_WORDS + _SEPS + _EDGES), max_size=80),
+    st.lists(st.sampled_from(_query_pool(_WORDS)), max_size=4),
+)
+def test_snippet_equivalence_property(pieces, query):
+    _assert_same("".join(pieces), query)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab Kſд\t\n\r\x0b\f\x00\x1f='\"/!;"), max_size=40))
+def test_extract_text_changes_trigger_free_text_only_by_whitespace(text):
+    # why the re-extract may be skipped without <, >, &, U+00A0, U+200B, U+00AD
+    collapse = lambda t: _java_trim(_JAVA_WS_RE.sub(" ", t))  # noqa: E731
+    assert collapse(extract_text(text)) == collapse(text)
